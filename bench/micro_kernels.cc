@@ -140,7 +140,9 @@ static void BM_BtreeInsert(benchmark::State& state) {
 BENCHMARK(BM_BtreeInsert);
 
 static void BM_TracerMemEvent(benchmark::State& state) {
-  trace::Tracer tracer;
+  trace::CodeMap code_map;
+  const trace::RegionSet regions(&code_map);
+  trace::Tracer tracer(&regions);
   char buf[256];
   for (auto _ : state) {
     tracer.Read(buf, 64, 4);
@@ -163,7 +165,9 @@ static void BM_TpccNewOrderNative(benchmark::State& state) {
   cfg.initial_orders_per_district = 30;
   workload::TpccLoad(&db, cfg);
   workload::TpccDriver driver(&db, cfg, 1, 5);
-  trace::Tracer tracer;
+  trace::CodeMap code_map;
+  const trace::RegionSet regions(&code_map);
+  trace::Tracer tracer(&regions);
   for (auto _ : state) {
     driver.Run(workload::TpccTxnType::kNewOrder, &tracer);
     if (tracer.trace().events.size() > (1u << 20)) {

@@ -49,8 +49,7 @@ int Usage(const char* argv0, int code) {
       "          [--out FILE] [--perf-out FILE] [--trace-bundle FILE]\n"
       "          [--bundle-mode auto|fread] [--shard I/N]\n"
       "          [--metrics-out FILE] [--trace-out FILE]\n"
-      "          [--deterministic] [--smp-snoop-reference]\n"
-      "          [--smp-dir-probe]\n"
+      "          [--deterministic] [--smp-dir-probe]\n"
       "       %s --merge OUT SHARD_FILE...\n"
       "       %s --list\n"
       "\n"
@@ -93,11 +92,6 @@ int Usage(const char* argv0, int code) {
       "  --deterministic   omit timing fields from json/csv output\n"
       "  --golden          process-invariant output (for golden diffs);\n"
       "                    json (default) or csv\n"
-      "  --smp-snoop-reference\n"
-      "                    resolve SMP coherence via the broadcast-snoop\n"
-      "                    reference arm instead of the sharers-bitmap\n"
-      "                    directory (results must be byte-identical;\n"
-      "                    scripts/check.sh diffs the two)\n"
       "  --smp-dir-probe   with --perf-out: measure directory-vs-snoop\n"
       "                    native throughput on a 64-node private-L2\n"
       "                    machine and record it as the perf summary's\n"
@@ -190,7 +184,6 @@ int main(int argc, char** argv) {
   bool deterministic = false;
   bool golden = false;
   bool list = false;
-  bool smp_snoop_reference = false;
   bool smp_dir_probe = false;
 
   for (int i = 1; i < argc; ++i) {
@@ -236,8 +229,6 @@ int main(int argc, char** argv) {
       deterministic = true;
     } else if (arg == "--golden") {
       golden = true;
-    } else if (arg == "--smp-snoop-reference") {
-      smp_snoop_reference = true;
     } else if (arg == "--smp-dir-probe") {
       smp_dir_probe = true;
     } else if (arg == "--list") {
@@ -417,10 +408,7 @@ int main(int argc, char** argv) {
   options.metrics = metrics;
   options.trace = tracer.get();
   sweep::SweepRunner runner(&factory, options);
-  sweep::SweepSpec spec = sweep::BuiltinSpec(spec_name);
-  // Axis mutators assign individual fields, so a base-config override
-  // reaches every cell.
-  if (smp_snoop_reference) spec.base_exp.smp_snoop_reference = true;
+  const sweep::SweepSpec spec = sweep::BuiltinSpec(spec_name);
   const sweep::SweepReport report = runner.Run(spec);
 
   {

@@ -13,12 +13,13 @@
 # shards off one mapped bundle re-diffed against the unsharded run's
 # full deterministic bytes, for both the smoke and skew grids), checks
 # the bundle transports (mapped load must beat the owning fread load by
-# >=10x), diffs the smokesmp grid's directory and snoop-reference arms
-# byte-for-byte, runs the 1024-node CMP-vs-SMP shootout grid cold at
-# three thread counts plus a warm re-diff (and cross-checks the SMP
-# bus-model counters against the per-cell sweep output), and the
-# sanitizer pass diffs the process-invariant --golden JSON against
-# tests/golden/sweep_smoke.json. An optional
+# >=10x), diffs the smokesmp grid against its golden (its directory-vs-
+# snoop arm equivalence is pinned by the SmokeSmpArmsTest ctest in
+# tests/test_directory_equivalence.cc), runs the 1024-node CMP-vs-SMP
+# shootout grid cold at three thread counts plus a warm re-diff (and
+# cross-checks the SMP bus-model counters against the per-cell sweep
+# output), and the sanitizer pass diffs the process-invariant --golden
+# JSON against tests/golden/sweep_smoke.json. An optional
 # ThreadSanitizer pass races the parallel cold build under TSan.
 #
 #   scripts/check.sh              # docs + tier-1 + ASan/UBSan passes
@@ -272,23 +273,13 @@ EOF
     echo "    python3 not found; skipping observability JSON cross-checks"
   fi
 
-  echo "==> SMP coherence: directory arm vs snoop reference, byte-identical"
-  # Cold golden run writes the bundle; the two warm arms then replay the
-  # exact same trace bytes, so their full deterministic JSON — simulated
-  # metrics included — must match byte-for-byte across processes.
-  rm -f build/smokesmp.traces
+  echo "==> sweep smokesmp grid: cold golden"
+  # The directory-vs-snoop arm equivalence on this grid is a ctest
+  # (SmokeSmpArmsTest in tests/test_directory_equivalence.cc); this pins
+  # the SMP grid's process-invariant output.
   ./build/bench/sweep_main --spec smokesmp --threads 4 --golden \
-    --trace-bundle build/smokesmp.traces \
     --out build/sweep_smokesmp_golden.json
   diff -u tests/golden/sweep_smokesmp.json build/sweep_smokesmp_golden.json
-  ./build/bench/sweep_main --spec smokesmp --threads 4 --format json \
-    --deterministic --trace-bundle build/smokesmp.traces \
-    --out build/smokesmp_directory.json
-  ./build/bench/sweep_main --spec smokesmp --threads 4 --format json \
-    --deterministic --smp-snoop-reference \
-    --trace-bundle build/smokesmp.traces \
-    --out build/smokesmp_snoop.json
-  diff -u build/smokesmp_directory.json build/smokesmp_snoop.json
 
   echo "==> sweep shootout grid: cold golden (--threads 1/2/8) + warm re-diff"
   # The CMP-vs-SMP scaling shootout runs both topologies to 1024 nodes

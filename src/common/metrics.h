@@ -28,6 +28,7 @@
 #ifndef STAGEDCMP_COMMON_METRICS_H_
 #define STAGEDCMP_COMMON_METRICS_H_
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdint>
@@ -113,7 +114,8 @@ class HistogramMetric {
     uint64_t count = 0;
     uint64_t sum = 0;
     double mean = 0.0;
-    uint64_t p50 = 0;   ///< bucket-upper-bound approximations
+    uint64_t p50 = 0;   ///< bucket-upper-bound approximations, clamped
+                        ///< to the exact max
     uint64_t p95 = 0;
     uint64_t p99 = 0;
     uint64_t max = 0;   ///< exact
@@ -130,9 +132,11 @@ class HistogramMetric {
     out.count = merged.count();
     out.sum = merged.sum();
     out.mean = merged.mean();
-    out.p50 = merged.Quantile(0.50);
-    out.p95 = merged.Quantile(0.95);
-    out.p99 = merged.Quantile(0.99);
+    // A bucket's upper bound can exceed every sample in it; no quantile
+    // may report more than the largest value actually recorded.
+    out.p50 = std::min(merged.Quantile(0.50), max);
+    out.p95 = std::min(merged.Quantile(0.95), max);
+    out.p99 = std::min(merged.Quantile(0.99), max);
     out.max = max;
     return out;
   }

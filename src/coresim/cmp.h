@@ -71,11 +71,6 @@ struct SimConfig {
   bool loop_traces = false;
   /// Instructions executed before counters reset (cache warmup).
   uint64_t warmup_instructions = 0;
-  /// Testing hook: replay through the generic virtual-dispatch engine
-  /// even for the known hierarchy types, instead of the devirtualized
-  /// per-type instantiation. Results must be bit-identical either way
-  /// (tests/test_replay_equivalence.cc).
-  bool force_generic_dispatch = false;
   /// Observability hook: when set, the replay engine records its run
   /// counters (events replayed, per-hierarchy access classes) into this
   /// registry under `replay.*` once at the END of Run() — never per
@@ -208,10 +203,10 @@ inline void RecordReplayMetrics(MetricsRegistry* registry,
 /// several clients alternates between them (multiprogramming).
 ///
 /// Thin facade over the templated replay core (coresim/replay_core.h):
-/// Run() instantiates the engine for the hierarchy's concrete type — so
-/// the per-event dispatch devirtualizes and inlines — and falls back to
-/// the generic virtual-dispatch engine for hierarchy implementations the
-/// facade does not know about.
+/// Run() instantiates the engine for the hierarchy's concrete type via
+/// memsim::VisitHierarchy, so the per-event dispatch devirtualizes and
+/// inlines. The hierarchy must come from MakeCmpHierarchy or
+/// MakeSmpHierarchy; Run() aborts on any other implementation.
 class CmpSimulator {
  public:
   CmpSimulator(const SimConfig& config, memsim::MemoryHierarchy* hierarchy,

@@ -2,14 +2,15 @@
 //
 // ReplayEngine<H> is the complete CMP/SMP timing simulation, templated on
 // the hierarchy type it replays against. Instantiated with a concrete
-// `final` hierarchy (memsim::SharedL2Hierarchy, memsim::PrivateL2Hierarchy)
-// the per-event AccessData/AccessInstr calls devirtualize and inline —
-// the compiler sees trace unpacking, cache probes and the directory walk
-// as one straight-line region, which is what removed the indirect call
-// per replayed event from the sweep hot loop. Instantiated with
-// H = memsim::MemoryHierarchy it degrades to the classic virtual dispatch,
-// kept as the fallback for external hierarchy implementations (and as the
-// reference arm of tests/test_replay_equivalence.cc).
+// `final` hierarchy the per-event AccessData/AccessInstr calls
+// devirtualize and inline — the compiler sees trace unpacking, cache
+// probes and the directory walk as one straight-line region, which is
+// what removed the indirect call per replayed event from the sweep hot
+// loop. Production instantiates it once per concrete type, through
+// CmpSimulator::Run and memsim::VisitHierarchy. Tests instantiate it
+// directly for their reference arms: plain virtual dispatch
+// (tests/test_replay_equivalence.cc) and the broadcast-snoop SMP
+// (tests/test_directory_equivalence.cc).
 //
 // The timing model itself (camps, quanta, stall attribution) is unchanged
 // from the pre-template implementation and must stay bit-identical: any

@@ -68,25 +68,29 @@ coresim::CoreParams MakeCoreParams(coresim::Camp camp) {
                                      : coresim::CoreParams::Lean();
 }
 
-coresim::SimResult RunExperiment(const ExperimentConfig& config,
-                                 const TraceSet& traces,
-                                 ResolvedHardware* hw,
-                                 MetricsRegistry* metrics) {
-  memsim::HierarchyConfig hc = MakeHierarchyConfig(config);
-  std::unique_ptr<memsim::MemoryHierarchy> hierarchy =
-      config.topology == Topology::kCmpShared
-          ? memsim::MakeCmpHierarchy(hc)
-          : (config.smp_snoop_reference ? memsim::MakeSmpSnoopHierarchy(hc)
-                                        : memsim::MakeSmpHierarchy(hc));
-
+coresim::SimConfig MakeSimConfig(const ExperimentConfig& config,
+                                 const TraceSet& traces) {
   coresim::SimConfig sc;
   sc.core = MakeCoreParams(config.camp);
   sc.num_cores = config.cores;
   sc.loop_traces = config.saturated;
   sc.max_instructions = config.saturated ? config.measure_instructions : 0;
   sc.warmup_instructions = config.saturated ? config.warmup_instructions : 0;
-  sc.metrics = metrics;
   sc.tenant_a_clients = traces.tenant_a_clients;
+  return sc;
+}
+
+coresim::SimResult RunExperiment(const ExperimentConfig& config,
+                                 const TraceSet& traces,
+                                 ResolvedHardware* hw,
+                                 MetricsRegistry* metrics) {
+  memsim::HierarchyConfig hc = MakeHierarchyConfig(config);
+  std::unique_ptr<memsim::MemoryHierarchy> hierarchy =
+      config.topology == Topology::kCmpShared ? memsim::MakeCmpHierarchy(hc)
+                                              : memsim::MakeSmpHierarchy(hc);
+
+  coresim::SimConfig sc = MakeSimConfig(config, traces);
+  sc.metrics = metrics;
 
   if (hw != nullptr) {
     hw->l2_hit_cycles = hc.lat.l2_hit;

@@ -135,20 +135,13 @@ struct ExperimentConfig {
   uint32_t l2_ports = 0;          ///< 0 = auto (scale with banks)
   uint32_t memory_latency = 400;
   uint32_t fixed_l2_latency = 4;  ///< used when latency == kFixed4
-  /// SMP topology only: resolve coherence through the broadcast-snoop
-  /// reference arm instead of the sharers-bitmap directory. Simulated
-  /// results must be identical either way (scripts/check.sh diffs the
-  /// two); deliberately excluded from sweep output so the arms'
-  /// serialized cells stay byte-comparable.
-  bool smp_snoop_reference = false;
   /// SMP topology only: charge every coherence transaction (remote
   /// fetch, upgrade invalidation round, writeback) against the shared
   /// bus's occupancy clock, making queue_delay the real wait behind
   /// earlier transactions — the coherence-limited scaling knee. False
   /// keeps the historical flat-latency timing, byte-for-byte: the pinned
-  /// reference arm, mirroring how smp_snoop_reference pins coherence
-  /// resolution. Unlike that knob this one DOES change simulated
-  /// results, so it participates in sweep output and shard fingerprints.
+  /// reference arm. It changes simulated results, so it participates in
+  /// sweep output and shard fingerprints.
   bool smp_bus_model = false;
 };
 
@@ -167,8 +160,12 @@ coresim::SimResult RunExperiment(const ExperimentConfig& config,
                                  ResolvedHardware* hw = nullptr,
                                  MetricsRegistry* metrics = nullptr);
 
-/// Builds the hierarchy+core configs without running (tests/inspection).
+/// Builds the hierarchy and replay configs RunExperiment uses, without
+/// running (tests/inspection). MakeSimConfig leaves SimConfig::metrics
+/// unset.
 memsim::HierarchyConfig MakeHierarchyConfig(const ExperimentConfig& config);
+coresim::SimConfig MakeSimConfig(const ExperimentConfig& config,
+                                 const TraceSet& traces);
 coresim::CoreParams MakeCoreParams(coresim::Camp camp);
 
 }  // namespace stagedcmp::harness

@@ -74,13 +74,13 @@ double SharedL2HierarchyImpl<kMaxNodes>::L1IHitRate() const {
 // Explicit instantiations
 // ---------------------------------------------------------------------------
 
-// Every arm/width combination the factories and the replay engine's
-// devirtualized dispatch (coresim/cmp.cc) can name. These force every
-// member of each combination to compile even in a build whose TUs
-// exercise only some of them. Deliberately NOT paired with
-// `extern template` declarations in the header: suppressing per-TU
-// instantiation would also stop the replay engine from inlining the
-// per-access methods, which is the whole point of the design.
+// Every arm/width combination the factories (and, for the snoop arm, the
+// equivalence tests) can name. These force every member of each
+// combination to compile even in a build whose TUs exercise only some of
+// them. Deliberately NOT paired with `extern template` declarations in
+// the header: suppressing per-TU instantiation would also stop the
+// replay engine from inlining the per-access methods, which is the whole
+// point of the design.
 template class SharedL2HierarchyImpl<kNarrowMaxNodes>;
 template class SharedL2HierarchyImpl<kWideMaxNodes>;
 template class PrivateL2HierarchyImpl<true, kNarrowMaxNodes>;   // directory
@@ -96,20 +96,11 @@ std::unique_ptr<MemoryHierarchy> MakeCmpHierarchy(const HierarchyConfig& c) {
   return std::make_unique<SharedL2Hierarchy>(c);
 }
 std::unique_ptr<MemoryHierarchy> MakeSmpHierarchy(const HierarchyConfig& c) {
-  // Route by sharers-bitmap width: narrow directory through 64 nodes,
-  // wide directory through 1024; machines larger still run the broadcast
-  // snoop, which is bit-identical and has no node limit.
-  if (c.num_cores > kWideMaxNodes) {
-    return std::make_unique<PrivateL2SnoopHierarchy>(c);
-  }
+  // Route by sharers-bitmap width, exactly as MakeCmpHierarchy does.
   if (c.num_cores > kNarrowMaxNodes) {
     return std::make_unique<PrivateL2HierarchyWide>(c);
   }
   return std::make_unique<PrivateL2Hierarchy>(c);
-}
-std::unique_ptr<MemoryHierarchy> MakeSmpSnoopHierarchy(
-    const HierarchyConfig& c) {
-  return std::make_unique<PrivateL2SnoopHierarchy>(c);
 }
 
 }  // namespace stagedcmp::memsim

@@ -24,8 +24,9 @@
 // on its maximum node count, and the narrow (64-node) instantiation keeps
 // the exact single-word mask code the hot path always had while the wide
 // (1024-node) instantiation serves the large-n shootout grids. The
-// `MemoryHierarchy` interface remains the virtual facade for the harness
-// and any external hierarchy implementation. The SMP coherence protocol
+// `MemoryHierarchy` interface remains the virtual facade for the harness;
+// VisitHierarchy (below the type aliases) is the one place that maps it
+// back to the four concrete production types. The SMP coherence protocol
 // itself is documented in docs/COHERENCE.md.
 #ifndef STAGEDCMP_MEMSIM_HIERARCHY_H_
 #define STAGEDCMP_MEMSIM_HIERARCHY_H_
@@ -239,9 +240,9 @@ using SmpDirEntry = SmpDirEntryT<kNarrowMaxNodes>;
 ///     scales with the number of actual holders instead of with
 ///     num_cores. Construction aborts past kMaxNodes.
 ///   * kUseDirectory = false (`PrivateL2SnoopHierarchy`): the original
-///     broadcast snoop that probes every peer L2 per miss/upgrade. Kept as
-///     the reference arm (and the no-node-limit fallback);
-///     tests/test_directory_equivalence.cc and scripts/check.sh pin the
+///     broadcast snoop that probes every peer L2 per miss/upgrade. Kept
+///     only as the reference arm: no factory builds it, and
+///     tests/test_directory_equivalence.cc replays it directly to pin the
 ///     two arms bit-identical.
 ///
 /// Orthogonally, `HierarchyConfig::smp_bus` selects the timing arm: flat
@@ -343,18 +344,34 @@ class PrivateL2HierarchyImpl final : public MemoryHierarchy {
 using PrivateL2Hierarchy = PrivateL2HierarchyImpl<true, kNarrowMaxNodes>;
 /// Wide directory arm for the shootout grids (up to 1024 nodes).
 using PrivateL2HierarchyWide = PrivateL2HierarchyImpl<true, kWideMaxNodes>;
-/// Broadcast-snoop reference arm (O(num_cores) probes per miss/upgrade;
-/// no sharer bitmaps, so one instantiation serves every node count).
+/// Broadcast-snoop reference arm for the equivalence tests (O(num_cores)
+/// probes per miss/upgrade; no sharer bitmaps, so one instantiation
+/// serves every node count).
 using PrivateL2SnoopHierarchy = PrivateL2HierarchyImpl<false>;
 
-/// Factory helpers used by the harness. The SMP/CMP factories route by
-/// node count: narrow instantiation through 64 nodes (the historical hot
-/// path), wide through 1024; past that the SMP falls back to the
-/// unlimited snoop arm and the CMP aborts.
+/// Factory helpers used by the harness. Both route by node count: the
+/// narrow instantiation through 64 nodes (the historical hot path), the
+/// wide one through 1024; past that the constructor aborts.
 std::unique_ptr<MemoryHierarchy> MakeCmpHierarchy(const HierarchyConfig& c);
 std::unique_ptr<MemoryHierarchy> MakeSmpHierarchy(const HierarchyConfig& c);
-std::unique_ptr<MemoryHierarchy> MakeSmpSnoopHierarchy(
-    const HierarchyConfig& c);
+
+/// Calls `f` with `h` downcast to its concrete type — one of the four
+/// production hierarchies the factories above build — and returns its
+/// result. This is the one list of those types: code instantiated per
+/// type through it (the replay engine) devirtualizes and inlines the
+/// per-access methods. Aborts on any other MemoryHierarchy, including the
+/// snoop reference arm, which only tests replay (directly, by type).
+template <class F>
+decltype(auto) VisitHierarchy(MemoryHierarchy& h, F&& f) {
+  if (auto* p = dynamic_cast<SharedL2Hierarchy*>(&h)) return f(*p);
+  if (auto* p = dynamic_cast<PrivateL2Hierarchy*>(&h)) return f(*p);
+  if (auto* p = dynamic_cast<SharedL2HierarchyWide*>(&h)) return f(*p);
+  if (auto* p = dynamic_cast<PrivateL2HierarchyWide*>(&h)) return f(*p);
+  std::fprintf(stderr,
+               "VisitHierarchy: not a production hierarchy type (build it "
+               "with MakeCmpHierarchy or MakeSmpHierarchy)\n");
+  std::abort();
+}
 
 // ---------------------------------------------------------------------------
 // SharedL2HierarchyImpl (CMP) — inline hot path
@@ -757,8 +774,8 @@ PrivateL2HierarchyImpl<kUseDirectory, kMaxNodes>::PrivateL2HierarchyImpl(
     : config_(config) {
   if constexpr (kUseDirectory) {
     // The sharers bitmap is kMaxNodes wide. Fail loudly rather than let
-    // Set(node) index past it (MakeSmpHierarchy routes machines past the
-    // widest instantiation to the snoop arm, which has no node limit).
+    // Set(node) index past it (MakeSmpHierarchy routes by width, so this
+    // fires only past the wide instantiation's cap).
     if (config.num_cores > kMaxNodes) {
       std::fprintf(stderr,
                    "PrivateL2Hierarchy: directory supports <= %u nodes, "

@@ -93,8 +93,6 @@ struct Mix64 {
 /// index, value labels and full resolved configs. Two binaries agree on
 /// it iff they would expand the very same grid — the merge-time guard
 /// against shard files from a different spec, scale, or code vintage.
-/// (smp_snoop_reference is deliberately excluded, like in sink output:
-/// the two coherence arms must stay byte-comparable.)
 uint64_t SpecFingerprint(const std::string& spec_name,
                          const std::vector<std::string>& axis_names,
                          const std::vector<const Cell*>& cells) {

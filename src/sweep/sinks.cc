@@ -258,7 +258,10 @@ void TableSink::Emit(const SweepReport& report, std::ostream& os) const {
     for (const std::string& v : cr.cell.values) row.push_back(v);
     if (want_cores) row.push_back(std::to_string(cr.cell.exp.cores));
     if (want_l2) {
-      row.push_back(std::to_string(cr.cell.exp.l2_bytes >> 20) + "MB");
+      // Sub-MB caches (the per-node SMP L2s) would round to "0MB".
+      const uint64_t l2 = cr.cell.exp.l2_bytes;
+      row.push_back(l2 >= (1ull << 20) ? std::to_string(l2 >> 20) + "MB"
+                                       : std::to_string(l2 >> 10) + "KB");
     }
     row.push_back(TablePrinter::Num(r.cpi(), 2));
     row.push_back(TablePrinter::Num(r.uipc(), 2));

@@ -148,19 +148,19 @@ inline harness::ExperimentConfig HardwareConfig(Hardware hw) {
   return ec;
 }
 
-/// Every registered engine code region (calling the accessors registers
-/// them in the global CodeMap, deduplicated by name, so the returned
-/// geometry matches whatever the workloads recorded).
+/// The operator and substrate code regions (RegionId kSeqScan through
+/// kStageRuntime) of the canonical layout, which every world's traces use.
 inline const std::vector<trace::CodeRegion>& AllRegions() {
-  static const std::vector<trace::CodeRegion> regions = {
-      trace::RegionSeqScan(),    trace::RegionIndexScan(),
-      trace::RegionFilter(),     trace::RegionProject(),
-      trace::RegionHashBuild(),  trace::RegionHashProbe(),
-      trace::RegionNlJoin(),     trace::RegionSort(),
-      trace::RegionAggregate(),  trace::RegionBufferPool(),
-      trace::RegionBtree(),      trace::RegionLockMgr(),
-      trace::RegionTxn(),        trace::RegionCatalog(),
-      trace::RegionStageRuntime()};
+  static const std::vector<trace::CodeRegion> regions = [] {
+    trace::CodeMap map;
+    const trace::RegionSet set(&map);
+    std::vector<trace::CodeRegion> out;
+    for (size_t i = 0;
+         i <= static_cast<size_t>(trace::RegionId::kStageRuntime); ++i) {
+      out.push_back(set[static_cast<trace::RegionId>(i)]);
+    }
+    return out;
+  }();
   return regions;
 }
 

@@ -1,10 +1,12 @@
 // Directory-vs-snoop equivalence pins for the SMP private-L2 hierarchy.
 //
-// PR 5 replaced PrivateL2Hierarchy's broadcast snoop (probe every peer L2
-// per miss/upgrade) with a sharers-bitmap directory that visits only the
-// line's actual holders. The broadcast implementation is kept as
-// PrivateL2SnoopHierarchy, and this suite pins the two arms bit-identical
-// — every HierarchyStats counter, every latency, every breakdown double —
+// PrivateL2Hierarchy resolves coherence through a sharers-bitmap
+// directory that visits only the line's actual holders. The original
+// broadcast snoop (probe every peer L2 per miss/upgrade) is kept as
+// PrivateL2SnoopHierarchy, the reference arm: no factory builds it and
+// production never replays it, so this suite instantiates the replay
+// engine for it directly. The suite pins the two arms bit-identical —
+// every HierarchyStats counter, every latency, every breakdown double —
 // on randomized 1M-event synthetic traces across the paper's fig8-style
 // core-count range, widened to the shootout grid (2..1024 nodes; past 64
 // the factory serves the BitSet<1024> wide directory):
@@ -13,7 +15,9 @@
 //     where any bookkeeping drift compounds over millions of events;
 //   * a direct per-access drive with deliberately tiny caches, where the
 //     first diverging access fails with its index — eviction churn is the
-//     classic way a directory bitmap goes stale.
+//     classic way a directory bitmap goes stale;
+//   * the `smokesmp` builtin grid on real engine traces, the directory
+//     arm replayed through RunExperiment exactly as a sweep replays it.
 //
 // Both arms run in the same process on the same traces, so the comparison
 // is exact on any host/flags (no pinned constants needed).
@@ -21,10 +25,14 @@
 
 #include <cstdio>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.h"
+#include "coresim/replay_core.h"
+#include "harness/experiment.h"
 #include "memsim/hierarchy.h"
+#include "sweep/builtin_specs.h"
 #include "synthetic_trace.h"
 
 namespace stagedcmp {
@@ -58,24 +66,31 @@ HierarchyConfig SmpConfig(uint32_t cores, uint64_t l2_bytes) {
   return hc;
 }
 
+template <class H>
+constexpr bool kIsDirectoryArm =
+    std::is_same_v<H, memsim::PrivateL2Hierarchy> ||
+    std::is_same_v<H, memsim::PrivateL2HierarchyWide>;
+
 /// Directory arm via the factory, so each core count gets the same
 /// instantiation (narrow or wide) a real experiment would run.
 std::unique_ptr<memsim::MemoryHierarchy> MakeDir(const HierarchyConfig& hc) {
   auto h = memsim::MakeSmpHierarchy(hc);
-  // Guard against the factory silently degrading to snoop (which would
-  // make the equivalence tests vacuous).
-  EXPECT_EQ(dynamic_cast<memsim::PrivateL2SnoopHierarchy*>(h.get()), nullptr);
+  // Guard against the factory serving anything but a directory arm
+  // (which would make the equivalence tests vacuous).
+  memsim::VisitHierarchy(*h, [](auto& c) {
+    EXPECT_TRUE(kIsDirectoryArm<std::remove_reference_t<decltype(c)>>);
+  });
   return h;
 }
 
 std::string DirInvariants(memsim::MemoryHierarchy* h) {
-  if (auto* n = dynamic_cast<memsim::PrivateL2Hierarchy*>(h)) {
-    return n->CheckDirectoryInvariants();
-  }
-  if (auto* w = dynamic_cast<memsim::PrivateL2HierarchyWide*>(h)) {
-    return w->CheckDirectoryInvariants();
-  }
-  return "not a directory hierarchy";
+  return memsim::VisitHierarchy(*h, [](auto& c) -> std::string {
+    if constexpr (kIsDirectoryArm<std::remove_reference_t<decltype(c)>>) {
+      return c.CheckDirectoryInvariants();
+    } else {
+      return "not a directory hierarchy";
+    }
+  });
 }
 
 /// Serializes every HierarchyStats counter (and the per-level hit rates,
@@ -108,7 +123,12 @@ std::string StatsFingerprint(const memsim::MemoryHierarchy& h) {
 // Replay-engine fingerprints: full simulation, both camps, looped mode.
 // ---------------------------------------------------------------------------
 
-coresim::SimResult RunReplay(memsim::MemoryHierarchy* h, uint32_t cores,
+/// Replays `traces` over `h`. The directory arm (a factory product, H =
+/// MemoryHierarchy) takes the production path, CmpSimulator; the snoop
+/// arm, which production refuses, gets the engine instantiated for its
+/// concrete type, devirtualized exactly like production.
+template <class H>
+coresim::SimResult RunReplay(H* h, uint32_t cores,
                              const std::vector<trace::ClientTrace>& traces,
                              bool lean, bool looped) {
   std::vector<const trace::ClientTrace*> ptrs;
@@ -121,8 +141,11 @@ coresim::SimResult RunReplay(memsim::MemoryHierarchy* h, uint32_t cores,
   // length, so the sanitizer scale applies here too.
   sc.max_instructions = looped ? 2'000'000 / kSanScale : 0;
   sc.warmup_instructions = looped ? 500'000 / kSanScale : 0;
-  coresim::CmpSimulator sim(sc, h, ptrs);
-  return sim.Run();
+  if constexpr (std::is_same_v<H, memsim::PrivateL2SnoopHierarchy>) {
+    return coresim::ReplayEngine<H>(sc, h, ptrs).Run();
+  } else {
+    return coresim::CmpSimulator(sc, h, ptrs).Run();
+  }
 }
 
 class DirectoryEquivalenceTest : public ::testing::TestWithParam<uint32_t> {};
@@ -222,6 +245,42 @@ TEST_P(DirectoryEquivalenceTest, DirectDriveLockstepUnderEvictionChurn) {
 
 INSTANTIATE_TEST_SUITE_P(CoreCounts, DirectoryEquivalenceTest,
                          ::testing::ValuesIn(kCoreCounts));
+
+// ---------------------------------------------------------------------------
+// The smokesmp grid: real engine traces through the production sweep path.
+// ---------------------------------------------------------------------------
+
+// Each cell's trace set is built once and replayed twice, on the same
+// HierarchyConfig and SimConfig: through RunExperiment (the directory
+// arm, exactly as a sweep replays the cell) and through the snoop
+// reference arm.
+TEST(SmokeSmpArmsTest, DirectoryMatchesSnoopOnEveryCell) {
+  const sweep::SweepSpec spec = sweep::BuiltinSpec("smokesmp");
+  harness::WorkloadFactory factory;
+  sweep::ConfigureFactoryForSpec(spec.name(), &factory);
+  const std::vector<sweep::Cell> cells = spec.Expand();
+  ASSERT_FALSE(cells.empty());
+  uint64_t invalidations = 0;
+  for (const sweep::Cell& cell : cells) {
+    ASSERT_EQ(cell.exp.topology, harness::Topology::kSmpPrivate);
+    const harness::TraceSet traces = factory.Build(cell.trace);
+    const coresim::SimResult dir = harness::RunExperiment(cell.exp, traces);
+    memsim::PrivateL2SnoopHierarchy snoop(
+        harness::MakeHierarchyConfig(cell.exp));
+    const coresim::SimResult sno =
+        coresim::ReplayEngine<memsim::PrivateL2SnoopHierarchy>(
+            harness::MakeSimConfig(cell.exp, traces), &snoop,
+            traces.Pointers())
+            .Run();
+    EXPECT_EQ(synthetic::Fingerprint(dir), synthetic::Fingerprint(sno))
+        << "cell " << cell.index << " (" << cell.values[0] << ")";
+    invalidations += dir.mem.invalidations;
+  }
+  // The grid must exercise coherence, or the comparison is vacuous. Only
+  // the OLTP cell writes shared data; read-only DSS may invalidate
+  // nothing, depending on heap placement.
+  EXPECT_GT(invalidations, 0u);
+}
 
 }  // namespace
 }  // namespace stagedcmp

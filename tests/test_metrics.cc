@@ -105,6 +105,21 @@ TEST(HistogramMetric, MergesShardsWithExactCountSumMax) {
   EXPECT_LE(m.p95, m.p99);
 }
 
+// A log bucket's upper bound can exceed every sample in it: [16384,
+// 32767] reports 32767 even when nothing above 17171 was recorded. The
+// quantiles must never exceed the exact max.
+TEST(HistogramMetric, QuantilesClampedToExactMax) {
+  MetricsRegistry reg;
+  HistogramMetric& h = reg.histogram("task_run_us");
+  for (uint64_t v : {16384u, 16500u, 17000u, 17171u}) h.Record(v);
+  const HistogramMetric::Merged m = h.Snapshot();
+  EXPECT_EQ(m.max, 17171u);
+  EXPECT_LE(m.p50, m.max);
+  EXPECT_LE(m.p95, m.max);
+  EXPECT_LE(m.p99, m.max);
+  EXPECT_EQ(m.p99, 17171u);
+}
+
 TEST(MetricsRegistry, SnapshotDuringMutationIsSafe) {
   MetricsRegistry reg;
   Counter& c = reg.counter("hot");

@@ -9,9 +9,10 @@
 // breakdown double bit-for-bit, for both CMP and SMP hierarchies, both
 // camps, and both full-replay and looped/warmup modes.
 //
-// A second axis compares the devirtualized fast path against the generic
-// MemoryHierarchy fallback the facade keeps for external hierarchy
-// implementations: both dispatch routes must be indistinguishable.
+// A second axis compares the devirtualized fast path against the replay
+// engine instantiated over the MemoryHierarchy interface itself (plain
+// virtual dispatch, built here as the reference arm): both dispatch
+// routes must be indistinguishable.
 //
 // Note: the fingerprints hold on default Release/Debug flags. A
 // STAGEDCMP_NATIVE build may legally contract FP operations (FMA) and
@@ -22,6 +23,7 @@
 #include <memory>
 #include <vector>
 
+#include "coresim/replay_core.h"
 #include "memsim/hierarchy.h"
 #include "synthetic_trace.h"
 
@@ -221,7 +223,7 @@ class ReplayEquivalenceTest : public ::testing::Test {
   }
 
   static coresim::SimResult RunSim(bool smp, bool lean, bool looped,
-                                   bool force_generic) {
+                                   bool generic_dispatch) {
     std::vector<const trace::ClientTrace*> ptrs;
     for (const auto& t : *traces_) ptrs.push_back(&t);
     memsim::HierarchyConfig hc;
@@ -234,14 +236,17 @@ class ReplayEquivalenceTest : public ::testing::Test {
     sc.loop_traces = looped;
     sc.max_instructions = looped ? 2'000'000 : 0;
     sc.warmup_instructions = looped ? 500'000 : 0;
-    sc.force_generic_dispatch = force_generic;
+    if (generic_dispatch) {
+      return coresim::ReplayEngine<memsim::MemoryHierarchy>(sc, h.get(), ptrs)
+          .Run();
+    }
     coresim::CmpSimulator sim(sc, h.get(), ptrs);
     return sim.Run();
   }
 
   static std::string Replay(bool smp, bool lean, bool looped,
-                            bool force_generic) {
-    return synthetic::Fingerprint(RunSim(smp, lean, looped, force_generic));
+                            bool generic_dispatch) {
+    return synthetic::Fingerprint(RunSim(smp, lean, looped, generic_dispatch));
   }
 
   // The k*Full fingerprints were captured at default Release flags;
@@ -290,7 +295,7 @@ TEST_F(ReplayEquivalenceTest, SmpFatLoopedMatchesOldImplementation) {
 }
 
 // The devirtualized per-type replay core and the generic virtual-dispatch
-// fallback must be indistinguishable, including replayed-event counts.
+// instantiation must be indistinguishable, including replayed-event counts.
 TEST_F(ReplayEquivalenceTest, GenericDispatchBitEqual) {
   for (bool smp : {false, true}) {
     for (bool looped : {false, true}) {

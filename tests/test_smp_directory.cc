@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <type_traits>
 
 #include "common/rng.h"
 #include "memsim/hierarchy.h"
@@ -130,18 +131,28 @@ TEST(SmpDirectoryTest, EvictionClearsSharerBitAndErasesEmptyEntries) {
   EXPECT_EQ(h.CheckDirectoryInvariants(), "");
 }
 
+/// True iff VisitHierarchy resolves `h` to exactly the concrete type `Want`.
+template <class Want>
+bool VisitsAs(MemoryHierarchy& h) {
+  return VisitHierarchy(h, [](auto& c) {
+    return std::is_same_v<std::remove_reference_t<decltype(c)>, Want>;
+  });
+}
+
 // Factory width routing: up to 64 nodes uses the single-word directory
 // (the instantiation whose hot path compiles to the historical scalar
-// masks), 65..1024 the BitSet<1024> wide directory, and only machines
-// past the wide cap fall back to the (limit-free) snoop arm.
-TEST(SmpDirectoryTest, FactoryRoutesWidthsAndFallsBackPast1024Nodes) {
+// masks), 65..1024 the BitSet<1024> wide directory; past the wide cap
+// both factories abort with the constructor's message.
+TEST(SmpDirectoryTest, FactoryRoutesWidthsAndAbortsPast1024Nodes) {
   HierarchyConfig cfg = TinyConfig(64);
   auto at_cap = MakeSmpHierarchy(cfg);
-  EXPECT_NE(dynamic_cast<PrivateL2Hierarchy*>(at_cap.get()), nullptr);
+  EXPECT_TRUE(VisitsAs<PrivateL2Hierarchy>(*at_cap));
+  EXPECT_TRUE(VisitsAs<SharedL2Hierarchy>(*MakeCmpHierarchy(cfg)));
   for (uint32_t n : {65u, 256u, 1024u}) {
     cfg.num_cores = n;
     auto wide = MakeSmpHierarchy(cfg);
-    EXPECT_NE(dynamic_cast<PrivateL2HierarchyWide*>(wide.get()), nullptr)
+    EXPECT_TRUE(VisitsAs<PrivateL2HierarchyWide>(*wide)) << n << " nodes";
+    EXPECT_TRUE(VisitsAs<SharedL2HierarchyWide>(*MakeCmpHierarchy(cfg)))
         << n << " nodes";
     // The wide directory simulates correctly with a top-node sharer.
     wide->AccessData(n - 1, 0x6000, true, 0);
@@ -150,12 +161,20 @@ TEST(SmpDirectoryTest, FactoryRoutesWidthsAndFallsBackPast1024Nodes) {
         << n << " nodes";
   }
   cfg.num_cores = 1025;
-  auto over_cap = MakeSmpHierarchy(cfg);
-  EXPECT_NE(dynamic_cast<PrivateL2SnoopHierarchy*>(over_cap.get()), nullptr);
-  // The snoop arm still simulates correctly at 1025 nodes.
-  over_cap->AccessData(1024, 0x6000, true, 0);
-  EXPECT_EQ(over_cap->AccessData(0, 0x6000, false, 10).cls,
-            AccessClass::kCoherence);
+  EXPECT_DEATH(MakeSmpHierarchy(cfg),
+               "PrivateL2Hierarchy: directory supports <= 1024 nodes, "
+               "got 1025");
+  EXPECT_DEATH(MakeCmpHierarchy(cfg),
+               "SharedL2Hierarchy: L1 directory supports <= 1024 cores, "
+               "got 1025");
+}
+
+// The snoop reference arm is no production type: the visitor refuses it
+// rather than silently replaying it.
+TEST(SmpDirectoryTest, VisitorAbortsOnSnoopReferenceArm) {
+  PrivateL2SnoopHierarchy snoop(TinyConfig(4));
+  EXPECT_DEATH(VisitHierarchy(snoop, [](auto&) { return 0; }),
+               "VisitHierarchy: not a production hierarchy type");
 }
 
 // Randomized churn: tiny L2s, a footprint ~30x the cache, mixed

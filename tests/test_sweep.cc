@@ -777,6 +777,24 @@ TEST(Observability, DeterministicTraceByteStableAcrossThreadCounts) {
   EXPECT_NE(cold.find("\"cell:7\""), std::string::npos);
 }
 
+// The table's L2 column prints sub-MB caches (shootout's 256KB per-node
+// SMP L2s) in KB instead of rounding them to "0MB".
+TEST(TableSink, SubMegabyteL2PrintsKilobytes) {
+  sweep::SweepReport report;
+  report.spec_name = "l2col";
+  for (const uint64_t bytes : {256ull << 10, 4ull << 20}) {
+    sweep::CellResult cr;
+    cr.cell.index = report.cells.size();
+    cr.cell.exp.l2_bytes = bytes;
+    report.cells.push_back(cr);
+  }
+  std::ostringstream os;
+  sweep::TableSink(/*include_timing=*/false).Emit(report, os);
+  EXPECT_NE(os.str().find("256KB"), std::string::npos) << os.str();
+  EXPECT_NE(os.str().find("4MB"), std::string::npos) << os.str();
+  EXPECT_EQ(os.str().find("0MB"), std::string::npos) << os.str();
+}
+
 TEST(BuiltinSpecs, AllNamesExpandToTheExpectedGrids) {
   EXPECT_TRUE(sweep::HasBuiltinSpec("fig7"));
   EXPECT_FALSE(sweep::HasBuiltinSpec("fig99"));

@@ -48,24 +48,24 @@ harness::TraceSetConfig DssConfig() {
   return tc;
 }
 
-TEST(WorldIsolation, RegionLayoutIdenticalAcrossWorldsAndGlobal) {
+TEST(WorldIsolation, RegionLayoutIdenticalAcrossWorldsAndFreshSets) {
   const harness::WorkloadFactory f = TinyFactory();
   harness::WorkloadWorld a(f.tpcc_config, f.tpch_config);
   harness::WorkloadWorld b(f.tpcc_config, f.tpch_config);
-  const trace::RegionSet& global = trace::RegionSet::Global();
+  // Two sets over fresh maps: code recording outside any world lands on
+  // the same PCs as code recorded inside one.
+  trace::CodeMap map1, map2;
+  const trace::RegionSet fresh1(&map1);
+  const trace::RegionSet fresh2(&map2);
   for (size_t i = 0; i < trace::kRegionCount; ++i) {
     const auto id = static_cast<trace::RegionId>(i);
-    EXPECT_EQ(a.regions()[id].base, global[id].base) << "region " << i;
-    EXPECT_EQ(a.regions()[id].size, global[id].size) << "region " << i;
+    EXPECT_EQ(fresh1[id].base, fresh2[id].base) << "region " << i;
+    EXPECT_EQ(fresh1[id].size, fresh2[id].size) << "region " << i;
+    EXPECT_EQ(a.regions()[id].base, fresh1[id].base) << "region " << i;
+    EXPECT_EQ(a.regions()[id].size, fresh1[id].size) << "region " << i;
     EXPECT_EQ(b.regions()[id].base, a.regions()[id].base) << "region " << i;
     EXPECT_EQ(b.regions()[id].size, a.regions()[id].size) << "region " << i;
   }
-  // The compat accessors resolve to the same geometry, so code recording
-  // through either path lands on identical PCs.
-  EXPECT_EQ(trace::RegionBufferPool().base,
-            a.regions()[trace::RegionId::kBufferPool].base);
-  EXPECT_EQ(trace::RegionSeqScan().base,
-            a.regions()[trace::RegionId::kSeqScan].base);
 }
 
 TEST(WorldIsolation, ConcurrentWorldsMatchSerialSingleWorldBuilds) {
