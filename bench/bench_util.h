@@ -1,15 +1,11 @@
-// Shared helpers for the per-figure bench binaries.
+// Helpers shared by the bench binaries (sweep_main, micro_kernels).
 #ifndef STAGEDCMP_BENCH_BENCH_UTIL_H_
 #define STAGEDCMP_BENCH_BENCH_UTIL_H_
 
-#include <cstdio>
-#include <string>
+#include <cstdint>
 
 #include "common/rng.h"
-#include "common/table_printer.h"
-#include "coresim/cmp.h"
-#include "harness/experiment.h"
-#include "sweep/builtin_specs.h"
+#include "memsim/hierarchy.h"
 
 namespace stagedcmp::benchutil {
 
@@ -53,46 +49,6 @@ struct SmpChurnStream {
 
   Rng rng;
 };
-
-/// Standard scaled workload trace sets shared by the figure benches.
-/// Saturated sets provide >= 2x hardware contexts worth of clients.
-/// The configs themselves live in sweep/builtin_specs.h so the built-in
-/// sweep specs and the figure binaries can never drift apart.
-inline harness::TraceSet BuildOltpSaturated(harness::WorkloadFactory* f,
-                                            uint32_t clients = 32) {
-  return f->Build(sweep::OltpSaturatedConfig(clients));
-}
-
-inline harness::TraceSet BuildDssSaturated(harness::WorkloadFactory* f,
-                                           uint32_t clients = 24) {
-  return f->Build(sweep::DssSaturatedConfig(clients));
-}
-
-inline harness::TraceSet BuildOltpUnsaturated(harness::WorkloadFactory* f) {
-  return f->Build(sweep::OltpUnsaturatedConfig());
-}
-
-inline harness::TraceSet BuildDssUnsaturated(harness::WorkloadFactory* f) {
-  return f->Build(sweep::DssUnsaturatedConfig());
-}
-
-/// Collapsed paper-style breakdown row: Computation / I / D / Other.
-inline std::vector<std::string> BreakdownRow(
-    const std::string& label, const coresim::SimResult& r) {
-  const auto& b = r.breakdown;
-  const double t = b.total() > 0 ? b.total() : 1.0;
-  return {label,
-          TablePrinter::Pct(b.computation() / t),
-          TablePrinter::Pct(b.i_stalls() / t),
-          TablePrinter::Pct(b.d_stalls() / t),
-          TablePrinter::Pct(b.Get(coresim::Bucket::kDStallL2) / t),
-          TablePrinter::Pct(b.other() / t),
-          TablePrinter::Num(r.uipc(), 3)};
-}
-
-inline void PrintResultHeader(const char* title) {
-  std::printf("\n=== %s ===\n", title);
-}
 
 }  // namespace stagedcmp::benchutil
 

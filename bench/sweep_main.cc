@@ -30,6 +30,7 @@
 #include <string>
 
 #include "bench/bench_util.h"
+#include "common/json.h"
 #include "common/metrics.h"
 #include "common/trace_span.h"
 #include "memsim/hierarchy.h"
@@ -108,7 +109,6 @@ int Usage(const char* argv0, int code) {
 /// for the perf summary; sets *stats_match to whether the two arms'
 /// stats came out bit-identical (they must).
 std::string RunSmpDirProbe(bool* stats_match) {
-  constexpr uint32_t kNodes = benchutil::SmpChurnStream::kNodes;
   constexpr uint64_t kAccesses = 2'000'000;
 
   const memsim::HierarchyConfig hc = benchutil::SmpChurnStream::Config();
@@ -150,20 +150,16 @@ std::string RunSmpDirProbe(bool* stats_match) {
 
   const double snoop_aps = static_cast<double>(kAccesses) / snoop_secs;
   const double dir_aps = static_cast<double>(kAccesses) / dir_secs;
-  char buf[512];
-  std::snprintf(buf, sizeof(buf),
-                "{\n"
-                "    \"nodes\": %u,\n"
-                "    \"accesses_per_arm\": %llu,\n"
-                "    \"stats_bit_identical\": %s,\n"
-                "    \"snoop_accesses_per_second\": %.17g,\n"
-                "    \"directory_accesses_per_second\": %.17g,\n"
-                "    \"speedup\": %.17g\n"
-                "  }",
-                kNodes, static_cast<unsigned long long>(kAccesses),
-                *stats_match ? "true" : "false", snoop_aps, dir_aps,
-                dir_aps / snoop_aps);
-  return buf;
+  std::ostringstream os;
+  JsonObj o(os, 2);
+  o.Int("nodes", benchutil::SmpChurnStream::kNodes);
+  o.Int("accesses_per_arm", kAccesses);
+  o.Bool("stats_bit_identical", *stats_match);
+  o.Num("snoop_accesses_per_second", snoop_aps);
+  o.Num("directory_accesses_per_second", dir_aps);
+  o.Num("speedup", dir_aps / snoop_aps);
+  o.Close();
+  return os.str();
 }
 
 }  // namespace
@@ -246,7 +242,7 @@ int main(int argc, char** argv) {
   if (list) {
     for (const std::string& name : sweep::BuiltinSpecNames()) {
       const sweep::SweepSpec spec = sweep::BuiltinSpec(name);
-      std::printf("%-6s %4zu cells  %s\n", name.c_str(),
+      std::printf("%-12s %4zu cells  %s\n", name.c_str(),
                   spec.CrossProductSize(), spec.description().c_str());
     }
     return 0;

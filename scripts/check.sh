@@ -43,7 +43,7 @@ esac
 
 jobs=$(nproc 2>/dev/null || echo 4)
 
-echo "==> docs: internal links + sweep-spec drift"
+echo "==> docs: internal links + sweep-spec and binary drift"
 docs_fail=0
 # Every relative markdown link in README.md and docs/*.md must resolve
 # (targets are relative to the linking file's directory).
@@ -65,7 +65,7 @@ while IFS=: read -r file match; do
 done < <(grep -HoE '\]\([^)]+\)' README.md docs/*.md)
 # Sweep-spec drift, both directions: every `--spec NAME` in README must
 # be a builtin, and every builtin name must be documented in README.
-builtin_names=$(sed -n '/^std::vector<std::string> BuiltinSpecNames/,/^}/p' \
+builtin_names=$(sed -n '/^constexpr Builtin kBuiltins/,/^};/p' \
                   src/sweep/builtin_specs.cc | grep -oE '"[a-z0-9]+"' \
                 | tr -d '"')
 if [[ -z "$builtin_names" ]]; then
@@ -96,6 +96,24 @@ fi
 for f in $sweep_flags; do
   if ! grep -q -- "$f" README.md; then
     echo "FAIL: sweep_main flag '$f' is not documented in README" >&2
+    docs_fail=1
+  fi
+done
+# Binary drift: every ./build/bench/NAME or ./build/examples/NAME in the
+# docs must be a target that bench/ or examples/ CMakeLists.txt builds
+# (the STAGEDCMP_BENCHES / STAGEDCMP_EXAMPLES lists).
+cmake_targets=$(cat bench/CMakeLists.txt examples/CMakeLists.txt | tr '\n' ' ' \
+  | grep -oE '(set|list)\((APPEND )?STAGEDCMP_(BENCHES|EXAMPLES)[^)]*\)' \
+  | sed -E 's/^(set|list)\((APPEND )?STAGEDCMP_[A-Z]+//; s/\)$//' \
+  | tr ' ' '\n' | grep -v '^$' || true)
+if [[ -z "$cmake_targets" ]]; then
+  echo "FAIL: could not extract bench/example targets from CMakeLists" >&2
+  docs_fail=1
+fi
+for b in $(grep -ohE '\./build/(bench|examples)/[A-Za-z0-9_]+' README.md \
+             docs/*.md | sed 's#.*/##' | sort -u); do
+  if ! grep -qx "$b" <<<"$cmake_targets"; then
+    echo "FAIL: docs run ./build/.../$b, which no CMakeLists builds" >&2
     docs_fail=1
   fi
 done

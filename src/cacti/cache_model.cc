@@ -106,7 +106,7 @@ Status ComputeTiming(const CacheGeometry& geom, CacheTiming* out) {
   return Status::Ok();
 }
 
-uint32_t AccessLatencyCycles(uint64_t size_bytes) {
+CacheGeometry BankedL2Geometry(uint64_t size_bytes) {
   CacheGeometry g;
   g.size_bytes = size_bytes;
   g.associativity = 8;
@@ -116,8 +116,12 @@ uint32_t AccessLatencyCycles(uint64_t size_bytes) {
   while (size_bytes / banks > (2ULL << 20) && banks < 32) banks <<= 1;
   g.banks = banks;
   g.tech = TechNode::k65nm;
+  return g;
+}
+
+uint32_t AccessLatencyCycles(uint64_t size_bytes) {
   CacheTiming t;
-  Status s = ComputeTiming(g, &t);
+  Status s = ComputeTiming(BankedL2Geometry(size_bytes), &t);
   if (!s.ok()) return 4;
   return t.cycles;
 }

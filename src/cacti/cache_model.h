@@ -51,8 +51,11 @@ struct CacheTiming {
 /// non-power-of-two sizes below one line or degenerate geometry.
 Status ComputeTiming(const CacheGeometry& geom, CacheTiming* out);
 
-/// Convenience wrapper: hit latency in cycles for a size at 65nm, 8-way,
-/// 64B lines, with banking chosen automatically (what the benches use).
+/// The L2 geometry the sweeps model for a size: 65nm, 8-way, 64B lines,
+/// banked so no bank exceeds 2MB (at most 32 banks).
+CacheGeometry BankedL2Geometry(uint64_t size_bytes);
+
+/// Hit latency in cycles of BankedL2Geometry(size_bytes).
 uint32_t AccessLatencyCycles(uint64_t size_bytes);
 
 /// One processor generation's on-chip cache data point (Figure 1).

@@ -81,14 +81,24 @@ class LogHistogram {
     sum_ = sum;
   }
 
-  /// Approximate quantile from bucket boundaries (upper bound of bucket).
+  /// Approximate quantile: finds the bucket holding the sample of rank
+  /// q * count and interpolates linearly by rank inside it, treating
+  /// the bucket's samples as spread evenly over its value range.
   uint64_t Quantile(double q) const {
     if (count_ == 0) return 0;
-    uint64_t target = static_cast<uint64_t>(q * static_cast<double>(count_));
+    const uint64_t target =
+        static_cast<uint64_t>(q * static_cast<double>(count_));
     uint64_t seen = 0;
     for (int i = 0; i < kBuckets; ++i) {
-      seen += buckets_[static_cast<size_t>(i)];
-      if (seen > target) return i == 0 ? 0 : (1ULL << i) - 1;
+      const uint64_t n = buckets_[static_cast<size_t>(i)];
+      if (seen + n > target) {
+        if (i == 0) return 0;
+        const uint64_t lo = 1ULL << (i - 1);  // bucket i is [lo, 2 * lo)
+        return lo + static_cast<uint64_t>(static_cast<double>(target - seen) /
+                                          static_cast<double>(n) *
+                                          static_cast<double>(lo));
+      }
+      seen += n;
     }
     return (1ULL << (kBuckets - 1));
   }

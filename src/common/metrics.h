@@ -114,8 +114,8 @@ class HistogramMetric {
     uint64_t count = 0;
     uint64_t sum = 0;
     double mean = 0.0;
-    uint64_t p50 = 0;   ///< bucket-upper-bound approximations, clamped
-                        ///< to the exact max
+    uint64_t p50 = 0;   ///< interpolated within the log bucket,
+                        ///< clamped to the exact max
     uint64_t p95 = 0;
     uint64_t p99 = 0;
     uint64_t max = 0;   ///< exact
@@ -132,8 +132,9 @@ class HistogramMetric {
     out.count = merged.count();
     out.sum = merged.sum();
     out.mean = merged.mean();
-    // A bucket's upper bound can exceed every sample in it; no quantile
-    // may report more than the largest value actually recorded.
+    // Interpolation assumes samples spread over the whole bucket, so it
+    // can exceed every sample actually in it; no quantile may report
+    // more than the largest value recorded.
     out.p50 = std::min(merged.Quantile(0.50), max);
     out.p95 = std::min(merged.Quantile(0.95), max);
     out.p99 = std::min(merged.Quantile(0.99), max);

@@ -1,5 +1,5 @@
-// ASCII table / CSV emitter used by every bench binary to print the rows
-// and series the paper's figures report.
+// ASCII table / CSV emitter behind the sweep sinks and the figure views
+// that print the rows and series the paper's figures report.
 #ifndef STAGEDCMP_COMMON_TABLE_PRINTER_H_
 #define STAGEDCMP_COMMON_TABLE_PRINTER_H_
 

@@ -1,10 +1,11 @@
-// Built-in sweep specs reproducing the paper's figure grids, plus the
-// canonical trace-set configurations the figure benches share. The
-// bench binaries (bench/bench_util.h) delegate to the *Config functions
-// below so a figure binary and its sweep spec can never drift apart.
+// Built-in sweep specs reproducing the paper's figure and ablation
+// grids, the canonical trace-set configurations they share, and the
+// per-figure table views that render a figure spec's report in the
+// paper's layout (ratio columns, paper-target footers).
 #ifndef STAGEDCMP_SWEEP_BUILTIN_SPECS_H_
 #define STAGEDCMP_SWEEP_BUILTIN_SPECS_H_
 
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -12,27 +13,20 @@
 
 namespace stagedcmp::sweep {
 
+struct SweepReport;
+
 /// Canonical saturated/unsaturated workload trace configs (the exact
-/// client counts, request counts and seeds the figure benches use).
+/// client counts, request counts and seeds the figure specs use).
 harness::TraceSetConfig OltpSaturatedConfig(uint32_t clients = 32);
 harness::TraceSetConfig DssSaturatedConfig(uint32_t clients = 24);
 harness::TraceSetConfig OltpUnsaturatedConfig();
 harness::TraceSetConfig DssUnsaturatedConfig();
 
-/// Names accepted by BuiltinSpec, in presentation order:
-///   smoke    — tiny 2x2 grid for CI golden-diff and perf trajectory
-///   smokesmp — tiny {OLTP,DSS} SMP grid for the directory-vs-snoop
-///              byte-identity diff in scripts/check.sh
-///   fig4     — {unsat,sat} x {OLTP,DSS} x {FC,LC} camp comparison
-///   fig6     — {OLTP,DSS} x {fixed4,realistic} x L2 {1..26MB}
-///   fig7     — {OLTP,DSS} x {SMP private 4MB, CMP shared 16MB}
-///   fig8     — {OLTP,DSS} x cores {4,8,12,16} (load scales with cores)
-///   fig8smp  — fig8's axis on the SMP private-L2 machine, extended to
-///              {4,8,16,32} nodes (the sweep the sharers-bitmap
-///              directory makes scale)
-///   shootout — CMP vs SMP at matched node counts {16,64,256,1024} x
-///              {OLTP,DSS} with the SMP shared-bus occupancy model on
-///              (the queue-delay knee grid)
+/// Names accepted by BuiltinSpec, in presentation order: the smoke
+/// grids, the paper's figures (fig2..fig8; fig4's view also prints
+/// Table 1 and Figure 5, fig6's Figure 1), the ablations, then the
+/// traffic and scale-out grids. `sweep_main --list` prints each with
+/// its description.
 std::vector<std::string> BuiltinSpecNames();
 
 bool HasBuiltinSpec(const std::string& name);
@@ -40,6 +34,13 @@ bool HasBuiltinSpec(const std::string& name);
 /// Returns the named spec; aborts on unknown names (check
 /// HasBuiltinSpec first when the name is user input).
 SweepSpec BuiltinSpec(const std::string& name);
+
+/// Renders a figure spec's report as the paper's table(s). TableSink
+/// prints it under the generic per-cell table.
+using FigureView = void (*)(const SweepReport& report, std::ostream& os);
+
+/// The named spec's figure view; null for specs without one.
+FigureView BuiltinFigureView(const std::string& name);
 
 /// Applies the named spec's workload-scale overrides to `factory` (call
 /// between construction and the first Build). Most specs run the default

@@ -9,6 +9,7 @@
 #include <sstream>
 #include <utility>
 
+#include "common/json.h"
 #include "coresim/breakdown.h"
 #include "memsim/hierarchy.h"
 #include "sweep/sinks.h"
@@ -24,56 +25,6 @@ namespace {
 constexpr int kShardSchema = 2;
 constexpr int kNumClasses = static_cast<int>(memsim::AccessClass::kCount);
 constexpr int kNumBuckets = static_cast<int>(coresim::Bucket::kCount);
-
-/// Round-trip-exact double formatting, matching the sinks: the merged
-/// report re-emits the very same %.17g text an unsharded run would.
-std::string Dbl(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-std::string Quote(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
-/// Minimal ordered-key JSON object writer (same layout discipline as
-/// the sinks': two-space indent, fixed field order).
-class JsonW {
- public:
-  JsonW(std::ostream& os, int indent) : os_(os), indent_(indent) {
-    os_ << "{";
-  }
-  void Field(const std::string& key, const std::string& raw_value) {
-    os_ << (first_ ? "\n" : ",\n") << Pad(indent_ + 2) << Quote(key) << ": "
-        << raw_value;
-    first_ = false;
-  }
-  void Str(const std::string& key, const std::string& v) {
-    Field(key, Quote(v));
-  }
-  void Num(const std::string& key, double v) { Field(key, Dbl(v)); }
-  void Int(const std::string& key, uint64_t v) {
-    Field(key, std::to_string(v));
-  }
-  void Close() { os_ << "\n" << Pad(indent_) << "}"; }
-
-  static std::string Pad(int n) {
-    return std::string(static_cast<size_t>(n), ' ');
-  }
-
- private:
-  std::ostream& os_;
-  int indent_;
-  bool first_ = true;
-};
 
 /// FNV-style mixer (the trace-bundle chain) for the spec fingerprint.
 struct Mix64 {
@@ -403,7 +354,7 @@ void WriteShardFile(const SweepReport& report, std::ostream& os) {
   const uint64_t fp =
       SpecFingerprint(report.spec_name, report.axis_names, all_cells);
 
-  JsonW top(os, 0);
+  JsonObj top(os, 0);
   top.Int("shard_schema", kShardSchema);
   top.Str("spec", report.spec_name);
   top.Int("shard_index", report.shard_index);
@@ -420,9 +371,9 @@ void WriteShardFile(const SweepReport& report, std::ostream& os) {
         continue;
       }
       const CellResult& cr = report.cells[i];
-      cells << (first ? "\n" : ",\n") << JsonW::Pad(4);
+      cells << (first ? "\n" : ",\n") << JsonObj::Pad(4);
       first = false;
-      JsonW c(cells, 4);
+      JsonObj c(cells, 4);
       c.Int("index", cr.cell.index);
       {
         std::ostringstream cfg;
@@ -431,7 +382,7 @@ void WriteShardFile(const SweepReport& report, std::ostream& os) {
       }
       {
         std::ostringstream ts;
-        JsonW t(ts, 6);
+        JsonObj t(ts, 6);
         t.Int("total_instructions", cr.trace_total_instructions);
         t.Int("total_events", cr.trace_total_events);
         t.Close();
@@ -441,14 +392,14 @@ void WriteShardFile(const SweepReport& report, std::ostream& os) {
       {
         const coresim::SimResult& r = cr.result;
         std::ostringstream res;
-        JsonW m(res, 6);
+        JsonObj m(res, 6);
         m.Int("instructions", r.instructions);
         m.Int("elapsed_cycles", r.elapsed_cycles);
         {
           std::string b = "[";
           for (int k = 0; k < kNumBuckets; ++k) {
             if (k) b += ", ";
-            b += Dbl(r.breakdown.cycles[static_cast<size_t>(k)]);
+            b += JsonDbl(r.breakdown.cycles[static_cast<size_t>(k)]);
           }
           b += "]";
           m.Field("breakdown_cycles", b);
@@ -484,15 +435,15 @@ void WriteShardFile(const SweepReport& report, std::ostream& os) {
           tn << "[";
           for (uint32_t t = 0; t < r.num_tenants; ++t) {
             const coresim::TenantStats& ts = r.tenants[t];
-            tn << (t ? ",\n" : "\n") << JsonW::Pad(10);
-            JsonW to(tn, 10);
+            tn << (t ? ",\n" : "\n") << JsonObj::Pad(10);
+            JsonObj to(tn, 10);
             to.Int("instructions", ts.instructions);
             to.Int("requests", ts.requests);
             to.Field("data_count", u64_array(ts.data_count, kNumClasses));
             to.Field("instr_count", u64_array(ts.instr_count, kNumClasses));
             to.Close();
           }
-          tn << "\n" << JsonW::Pad(8) << "]";
+          tn << "\n" << JsonObj::Pad(8) << "]";
           m.Field("tenants", tn.str());
         }
         m.Close();
@@ -500,7 +451,7 @@ void WriteShardFile(const SweepReport& report, std::ostream& os) {
       }
       c.Close();
     }
-    cells << "\n" << JsonW::Pad(2) << "]";
+    cells << "\n" << JsonObj::Pad(2) << "]";
     top.Field("cells", cells.str());
   }
   top.Close();

@@ -11,8 +11,10 @@
 #include <unistd.h>
 #endif
 
+#include "common/json.h"
 #include "common/table_printer.h"
 #include "coresim/breakdown.h"
+#include "sweep/builtin_specs.h"
 
 namespace stagedcmp::sweep {
 
@@ -32,60 +34,6 @@ const char* LatencyModeName(harness::LatencyMode m) {
 const char* TopologyName(harness::Topology t) {
   return t == harness::Topology::kCmpShared ? "cmp-shared" : "smp-private";
 }
-
-namespace {
-
-/// Round-trip-exact double formatting; the shortest %.17g form is stable
-/// across runs and thread counts because the underlying bits are.
-std::string Dbl(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-std::string Quote(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
-/// Minimal ordered-key JSON object writer.
-class JsonObj {
- public:
-  JsonObj(std::ostream& os, int indent) : os_(os), indent_(indent) {
-    os_ << "{";
-  }
-  void Field(const std::string& key, const std::string& raw_value) {
-    os_ << (first_ ? "\n" : ",\n") << Pad(indent_ + 2) << Quote(key) << ": "
-        << raw_value;
-    first_ = false;
-  }
-  void Str(const std::string& key, const std::string& v) {
-    Field(key, Quote(v));
-  }
-  void Num(const std::string& key, double v) { Field(key, Dbl(v)); }
-  void Int(const std::string& key, uint64_t v) {
-    Field(key, std::to_string(v));
-  }
-  void Bool(const std::string& key, bool v) {
-    Field(key, v ? "true" : "false");
-  }
-  void Close() { os_ << "\n" << Pad(indent_) << "}"; }
-
-  static std::string Pad(int n) { return std::string(static_cast<size_t>(n), ' '); }
-
- private:
-  std::ostream& os_;
-  int indent_;
-  bool first_ = true;
-};
-
-}  // namespace
 
 void EmitCellConfigJson(const CellResult& cr, std::ostream& os, int indent) {
   const harness::TraceSetConfig& tc = cr.cell.trace;
@@ -317,6 +265,9 @@ void TableSink::Emit(const SweepReport& report, std::ostream& os) const {
       os << buf;
     }
   }
+  if (const FigureView view = BuiltinFigureView(report.spec_name)) {
+    view(report, os);
+  }
 }
 
 void JsonSink::Emit(const SweepReport& report, std::ostream& os) const {
@@ -326,7 +277,7 @@ void JsonSink::Emit(const SweepReport& report, std::ostream& os) const {
     std::string axes = "[";
     for (size_t i = 0; i < report.axis_names.size(); ++i) {
       if (i) axes += ", ";
-      axes += Quote(report.axis_names[i]);
+      axes += JsonQuote(report.axis_names[i]);
     }
     axes += "]";
     top.Field("axes", axes);
@@ -443,22 +394,24 @@ void CsvSink::Emit(const SweepReport& report, std::ostream& os) const {
     if (!golden_) {
       row.push_back(std::to_string(r.instructions));
       row.push_back(std::to_string(r.elapsed_cycles));
-      row.push_back(Dbl(r.cpi()));
-      row.push_back(Dbl(r.uipc()));
-      row.push_back(Dbl(r.l1d_hit_rate));
-      row.push_back(Dbl(r.l1i_hit_rate));
-      row.push_back(Dbl(r.l2_hit_rate));
+      row.push_back(JsonDbl(r.cpi()));
+      row.push_back(JsonDbl(r.uipc()));
+      row.push_back(JsonDbl(r.l1d_hit_rate));
+      row.push_back(JsonDbl(r.l1i_hit_rate));
+      row.push_back(JsonDbl(r.l2_hit_rate));
       row.push_back(std::to_string(r.requests_completed));
-      row.push_back(Dbl(r.avg_response_cycles));
-      row.push_back(Dbl(r.mem.queue_delay.mean()));
+      row.push_back(JsonDbl(r.avg_response_cycles));
+      row.push_back(JsonDbl(r.mem.queue_delay.mean()));
       row.push_back(std::to_string(r.mem.l1_to_l1_transfers));
       row.push_back(std::to_string(r.mem.invalidations));
       row.push_back(std::to_string(r.mem.writebacks));
       for (int b = 0; b < static_cast<int>(coresim::Bucket::kCount); ++b) {
-        row.push_back(Dbl(r.CpiComponent(static_cast<coresim::Bucket>(b))));
+        row.push_back(JsonDbl(r.CpiComponent(static_cast<coresim::Bucket>(b))));
       }
     }
-    if (include_timing_ && !golden_) row.push_back(Dbl(cr.sim_wall_seconds));
+    if (include_timing_ && !golden_) {
+      row.push_back(JsonDbl(cr.sim_wall_seconds));
+    }
     table.AddRow(std::move(row));
   }
   table.PrintCsv(os);

@@ -32,7 +32,8 @@ class ResultSink {
 
 /// Human-readable aligned table (one row per cell) plus a footer with
 /// throughput of the sweep itself (omitted when `include_timing` is
-/// false, keeping the bytes deterministic).
+/// false, keeping the bytes deterministic). Figure specs then get their
+/// paper-layout tables (BuiltinFigureView in sweep/builtin_specs.h).
 class TableSink : public ResultSink {
  public:
   explicit TableSink(bool include_timing = true)

@@ -120,6 +120,24 @@ TEST(HistogramMetric, QuantilesClampedToExactMax) {
   EXPECT_EQ(m.p99, 17171u);
 }
 
+// Quantiles interpolate by rank inside their log bucket: 64 samples
+// spread evenly over [64, 127] (one bucket) put the median near 96, not
+// at the bucket's upper bound 127.
+TEST(HistogramMetric, QuantilesInterpolateWithinBucket) {
+  MetricsRegistry reg;
+  HistogramMetric& h = reg.histogram("uniform");
+  LogHistogram raw;
+  for (uint64_t v = 64; v < 128; ++v) {
+    h.Record(v);
+    raw.Add(v);
+  }
+  EXPECT_NEAR(static_cast<double>(raw.Quantile(0.50)), 96.0, 2.0);
+  const HistogramMetric::Merged m = h.Snapshot();
+  EXPECT_NEAR(static_cast<double>(m.p50), 96.0, 2.0);
+  EXPECT_NEAR(static_cast<double>(m.p95), 124.0, 2.0);
+  EXPECT_LE(m.p99, m.max);
+}
+
 TEST(MetricsRegistry, SnapshotDuringMutationIsSafe) {
   MetricsRegistry reg;
   Counter& c = reg.counter("hot");

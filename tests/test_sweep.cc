@@ -1,8 +1,10 @@
 // Sweep engine: spec expansion, trace-set cache sharing, parallel runner
 // determinism (thread-count invariance, byte-identical serialized
-// output), and equivalence with direct RunExperiment calls.
+// output), equivalence with direct RunExperiment calls, the builtin
+// specs' pinned configs, and the figure views' table rendering.
 #include <atomic>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -795,6 +797,34 @@ TEST(TableSink, SubMegabyteL2PrintsKilobytes) {
   EXPECT_EQ(os.str().find("0MB"), std::string::npos) << os.str();
 }
 
+/// Every field of both configs: the cell must be exactly what a direct
+/// Build(t) + RunExperiment(e, ...) call would have used.
+void ExpectConfig(const sweep::Cell& c, const harness::TraceSetConfig& t,
+                  const harness::ExperimentConfig& e) {
+  SCOPED_TRACE("cell " + std::to_string(c.index));
+  EXPECT_EQ(c.trace.workload, t.workload);
+  EXPECT_EQ(c.trace.clients, t.clients);
+  EXPECT_EQ(c.trace.requests_per_client, t.requests_per_client);
+  EXPECT_EQ(c.trace.seed, t.seed);
+  EXPECT_EQ(c.trace.engine, t.engine);
+  EXPECT_EQ(c.trace.traffic.shapes_keys(), t.traffic.shapes_keys());
+  EXPECT_EQ(c.trace.traffic.shapes_arrival(), t.traffic.shapes_arrival());
+  EXPECT_EQ(c.trace.tenant2_clients, t.tenant2_clients);
+  EXPECT_EQ(c.exp.camp, e.camp);
+  EXPECT_EQ(c.exp.cores, e.cores);
+  EXPECT_EQ(c.exp.l2_bytes, e.l2_bytes);
+  EXPECT_EQ(c.exp.latency, e.latency);
+  EXPECT_EQ(c.exp.topology, e.topology);
+  EXPECT_EQ(c.exp.saturated, e.saturated);
+  EXPECT_EQ(c.exp.measure_instructions, e.measure_instructions);
+  EXPECT_EQ(c.exp.warmup_instructions, e.warmup_instructions);
+  EXPECT_EQ(c.exp.stream_buffers, e.stream_buffers);
+  EXPECT_EQ(c.exp.l2_ports, e.l2_ports);
+  EXPECT_EQ(c.exp.memory_latency, e.memory_latency);
+  EXPECT_EQ(c.exp.fixed_l2_latency, e.fixed_l2_latency);
+  EXPECT_EQ(c.exp.smp_bus_model, e.smp_bus_model);
+}
+
 TEST(BuiltinSpecs, AllNamesExpandToTheExpectedGrids) {
   EXPECT_TRUE(sweep::HasBuiltinSpec("fig7"));
   EXPECT_FALSE(sweep::HasBuiltinSpec("fig99"));
@@ -832,6 +862,172 @@ TEST(BuiltinSpecs, AllNamesExpandToTheExpectedGrids) {
   EXPECT_EQ(f8s[3].exp.cores, 32u);
   EXPECT_EQ(f8s[3].trace.clients, 96u);
   EXPECT_EQ(f8s[3].exp.measure_instructions, 96'000'000u);
+
+  // The figure and ablation grids: every cell equals, field for field,
+  // the literal trace and machine configs each figure is reproduced
+  // with.
+  auto trace = [](harness::WorkloadKind w, uint32_t clients, uint32_t rpc,
+                  uint64_t seed) {
+    harness::TraceSetConfig tc;
+    tc.workload = w;
+    tc.clients = clients;
+    tc.requests_per_client = rpc;
+    tc.seed = seed;
+    return tc;
+  };
+  auto fc4 = [](uint64_t l2_bytes, bool saturated) {
+    harness::ExperimentConfig ec;
+    ec.camp = coresim::Camp::kFat;
+    ec.cores = 4;
+    ec.l2_bytes = l2_bytes;
+    ec.saturated = saturated;
+    return ec;
+  };
+  const auto kOltp = harness::WorkloadKind::kOltp;
+  const auto kDss = harness::WorkloadKind::kDss;
+  const harness::TraceSetConfig oltp_sat = trace(kOltp, 32, 64, 11);
+  const harness::TraceSetConfig dss_sat = trace(kDss, 24, 1, 23);
+
+  const std::vector<sweep::Cell> fig2 = sweep::BuiltinSpec("fig2").Expand();
+  ASSERT_EQ(fig2.size(), 8u);
+  const uint32_t kClients[] = {1, 2, 4, 8, 16, 32, 64, 128};
+  for (size_t i = 0; i < fig2.size(); ++i) {
+    harness::ExperimentConfig ec = fc4(16ull << 20, true);
+    ec.measure_instructions = 8'000'000;
+    ec.warmup_instructions = 2'000'000;
+    ExpectConfig(fig2[i], trace(kDss, kClients[i], 1, 51), ec);
+  }
+
+  const std::vector<sweep::Cell> fig3 = sweep::BuiltinSpec("fig3").Expand();
+  ASSERT_EQ(fig3.size(), 1u);
+  harness::ExperimentConfig power5 = fc4(2ull << 20, true);
+  power5.memory_latency = 140;
+  ExpectConfig(fig3[0], dss_sat, power5);
+
+  // fig4 is also Figure 5's grid: {unsat,sat} x {OLTP,DSS} x {FC,LC}.
+  const std::vector<sweep::Cell> fig4 = sweep::BuiltinSpec("fig4").Expand();
+  ASSERT_EQ(fig4.size(), 8u);
+  const harness::TraceSetConfig fig4_traces[] = {
+      trace(kOltp, 1, 40, 31), trace(kDss, 1, 2, 41), oltp_sat, dss_sat};
+  for (size_t i = 0; i < fig4.size(); ++i) {
+    const bool saturated = i >= 4;
+    harness::ExperimentConfig ec = fc4(26ull << 20, saturated);
+    ec.camp = i % 2 ? coresim::Camp::kLean : coresim::Camp::kFat;
+    ExpectConfig(fig4[i], fig4_traces[i / 2], ec);
+  }
+
+  const std::vector<sweep::Cell> fig6 = sweep::BuiltinSpec("fig6").Expand();
+  ASSERT_EQ(fig6.size(), 24u);
+  const uint64_t kSizesMb[] = {1, 2, 4, 8, 16, 26};
+  for (size_t i = 0; i < fig6.size(); ++i) {
+    harness::ExperimentConfig ec = fc4(kSizesMb[i % 6] << 20, true);
+    ec.latency = (i / 6) % 2 ? harness::LatencyMode::kRealistic
+                             : harness::LatencyMode::kFixed4;
+    ExpectConfig(fig6[i], i < 12 ? oltp_sat : dss_sat, ec);
+  }
+
+  const std::vector<sweep::Cell> abl =
+      sweep::BuiltinSpec("ablstaged").Expand();
+  ASSERT_EQ(abl.size(), 3u);
+  const harness::EngineMode kEngines[] = {harness::EngineMode::kVolcano,
+                                          harness::EngineMode::kStagedTuple,
+                                          harness::EngineMode::kStagedCohort};
+  for (size_t i = 0; i < abl.size(); ++i) {
+    harness::TraceSetConfig tc = trace(kDss, 4, 2, 61);
+    tc.engine = kEngines[i];
+    ExpectConfig(abl[i], tc, fc4(8ull << 20, false));
+  }
+
+  const std::vector<sweep::Cell> sb =
+      sweep::BuiltinSpec("ablstreambuf").Expand();
+  ASSERT_EQ(sb.size(), 2u);
+  for (size_t i = 0; i < sb.size(); ++i) {
+    harness::ExperimentConfig ec = fc4(16ull << 20, true);
+    ec.stream_buffers = i == 0;
+    ExpectConfig(sb[i], oltp_sat, ec);
+  }
+}
+
+/// A report for builtin spec `name` with synthetic, non-zero results in
+/// every cell — what a figure view renders, without simulating.
+sweep::SweepReport SyntheticReport(const std::string& name) {
+  const sweep::SweepSpec spec = sweep::BuiltinSpec(name);
+  sweep::SweepReport report;
+  report.spec_name = name;
+  report.axis_names = spec.axis_names();
+  for (const sweep::Cell& c : spec.Expand()) {
+    sweep::CellResult cr;
+    cr.cell = c;
+    coresim::SimResult& r = cr.result;
+    r.instructions = 2'000'000;
+    r.elapsed_cycles = 1'000'000;
+    r.requests_completed = 10;
+    r.avg_response_cycles = 50'000.0 + 1'000.0 * static_cast<double>(c.index);
+    r.l1d_hit_rate = 0.9;
+    r.l1i_hit_rate = 0.95;
+    r.l2_hit_rate = 0.5;
+    for (size_t b = 0; b < r.breakdown.cycles.size(); ++b) {
+      r.breakdown.cycles[b] = 10'000.0 * static_cast<double>(b + 1);
+    }
+    cr.hw.l2_hit_cycles = 10;
+    cr.hw.contexts_per_core = 1;
+    report.cells.push_back(cr);
+  }
+  return report;
+}
+
+std::string RenderTable(const sweep::SweepReport& report) {
+  std::ostringstream os;
+  sweep::TableSink(/*include_timing=*/false).Emit(report, os);
+  return os.str();
+}
+
+// Every spec with a figure view renders its title(s) under the generic
+// table from synthetic results.
+TEST(FigureViews, EveryViewRendersItsTitlesWithoutSimulating) {
+  const std::map<std::string, std::vector<std::string>> kTitles = {
+      {"fig2", {"Figure 2:"}},
+      {"fig3", {"Figure 3:"}},
+      {"fig4", {"Table 1:", "Figure 4(a):", "Figure 4(b):", "Figure 5:"}},
+      {"fig6",
+       {"Figure 1 (a,b):", "Figure 6(a):", "Figure 6(b):", "Figure 6(c):"}},
+      {"fig7", {"Figure 7:"}},
+      {"fig8", {"Figure 8:"}},
+      {"ablstaged", {"Ablation: staged"}},
+      {"ablstreambuf", {"Ablation: instruction stream buffers"}},
+  };
+  size_t with_view = 0;
+  for (const std::string& name : sweep::BuiltinSpecNames()) {
+    if (sweep::BuiltinFigureView(name) == nullptr) continue;
+    ++with_view;
+    ASSERT_EQ(kTitles.count(name), 1u) << name << " has no expected title";
+    const std::string out = RenderTable(SyntheticReport(name));
+    EXPECT_EQ(out.rfind("sweep '" + name + "'", 0), 0u) << out;
+    for (const std::string& title : kTitles.at(name)) {
+      EXPECT_NE(out.find("\n=== " + title), std::string::npos)
+          << name << " lacks '" << title << "':\n" << out;
+    }
+  }
+  EXPECT_EQ(with_view, kTitles.size());
+  EXPECT_EQ(sweep::BuiltinFigureView("smoke"), nullptr);
+}
+
+// Figure 4(b)'s ratio column is LC UIPC over FC UIPC.
+TEST(FigureViews, Fig4RatioColumnIsLcOverFc) {
+  sweep::SweepReport report = SyntheticReport("fig4");
+  for (sweep::CellResult& cr : report.cells) {
+    // FC UIPC 2.0, LC UIPC 3.4 = 1.7x.
+    if (cr.cell.exp.camp == coresim::Camp::kLean) {
+      cr.result.instructions = 3'400'000;
+    }
+  }
+  const std::string out = RenderTable(report);
+  const size_t fig4b = out.find("Figure 4(b)");
+  ASSERT_NE(fig4b, std::string::npos) << out;
+  const size_t row = out.find("| OLTP", fig4b);
+  ASSERT_NE(row, std::string::npos) << out;
+  const std::string line = out.substr(row, out.find('\n', row) - row);
+  EXPECT_NE(line.find("| 1.70 "), std::string::npos) << line;
 }
 
 }  // namespace
