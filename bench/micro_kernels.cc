@@ -1,15 +1,19 @@
 // google-benchmark microbenches for the engine's native kernels: B+-tree,
-// cache simulator, hash join, TPC-C transactions, tracer overhead.
+// cache simulator, hash join, TPC-C transactions, tracer overhead, replay
+// scheduler.
 // These measure the *native* cost of the reproduction's substrates (how
 // fast the simulator itself runs), not simulated cycles.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <unordered_map>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "common/arena.h"
 #include "common/flat_hash.h"
 #include "common/rng.h"
+#include "coresim/cmp.h"
 #include "db/bptree.h"
 #include "db/exec.h"
 #include "harness/experiment.h"
@@ -218,6 +222,57 @@ static void BM_CmpHierarchyAccess(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CmpHierarchyAccess);
+
+// Replay-scheduler cost per event at n cores: one client per core, each
+// looping a short trace whose code and data stay L1-resident, so the
+// per-event time is the replay engine's own (next-core selection plus
+// the core step) rather than the memory hierarchy's. The event budget is
+// the same at every n, so the ns/event column compares directly across
+// node counts.
+static void BM_ReplayScheduler(benchmark::State& state) {
+  const uint32_t n = static_cast<uint32_t>(state.range(0));
+  std::vector<trace::ClientTrace> traces(n);
+  for (uint32_t c = 0; c < n; ++c) {
+    const uint64_t data = 0x100000000ULL + (uint64_t{c} << 10);
+    for (uint32_t i = 0; i < 64; ++i) {
+      traces[c].events.push_back(trace::PackEvent(
+          trace::EventKind::kCompute, 0x400000 + (i % 16) * 64, 8));
+      traces[c].events.push_back(trace::PackMemEvent(
+          trace::EventKind::kRead, data + (i % 16) * 64, 4, false));
+    }
+  }
+  std::vector<const trace::ClientTrace*> ptrs;
+  for (const auto& t : traces) ptrs.push_back(&t);
+  memsim::HierarchyConfig hc;
+  hc.num_cores = n;
+  hc.l2 = memsim::CacheConfig{1ull << 20, 8, 64};
+  coresim::SimConfig sc;
+  sc.core = coresim::CoreParams::Fat();
+  sc.num_cores = n;
+  sc.loop_traces = true;
+  sc.max_instructions = 8'000'000;
+  uint64_t events = 0;
+  double run_seconds = 0.0;
+  for (auto _ : state) {
+    // Only Run() is timed: building and freeing n cores' caches is not
+    // replay cost.
+    auto h = memsim::MakeCmpHierarchy(hc);
+    coresim::CmpSimulator sim(sc, h.get(), ptrs);
+    const auto t0 = std::chrono::steady_clock::now();
+    const coresim::SimResult r = sim.Run();
+    const std::chrono::duration<double> dt =
+        std::chrono::steady_clock::now() - t0;
+    benchmark::DoNotOptimize(r);
+    events += r.events_replayed;
+    state.SetIterationTime(dt.count());
+    run_seconds += dt.count();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(events));
+  state.counters["ns_per_event"] =
+      events ? run_seconds * 1e9 / static_cast<double>(events) : 0.0;
+}
+BENCHMARK(BM_ReplayScheduler)->Arg(16)->Arg(256)->Arg(1024)
+    ->UseManualTime()->Unit(benchmark::kMillisecond);
 
 // Warm bundle transports, head to head on one synthetic bundle (32 MiB
 // of fabricated trace words — the loader never interprets payloads, so

@@ -18,9 +18,11 @@
 # tests/test_directory_equivalence.cc), runs the 1024-node CMP-vs-SMP
 # shootout grid cold at three thread counts plus a warm re-diff (and
 # cross-checks the SMP bus-model counters against the per-cell sweep
-# output), and the sanitizer pass diffs the process-invariant --golden
-# JSON against tests/golden/sweep_smoke.json. An optional
-# ThreadSanitizer pass races the parallel cold build under TSan.
+# output, and gates warm replay of its 1024-node cells against
+# BENCH_sweep_largen.json), and the sanitizer pass diffs the
+# process-invariant --golden JSON against tests/golden/sweep_smoke.json.
+# An optional ThreadSanitizer pass races the parallel cold build under
+# TSan.
 #
 #   scripts/check.sh              # docs + tier-1 + ASan/UBSan passes
 #   scripts/check.sh --tier1      # docs + tier-1 only
@@ -324,6 +326,15 @@ EOF
     --out build/sweep_shootout_warm.json
   diff -u tests/golden/sweep_shootout.json build/sweep_shootout_warm.json
 
+  echo "==> sweep shootout grid: large-n BENCH trajectory (warm, 1024 nodes)"
+  # Shard 3/4 holds exactly the four 1024-node cells (nodes is the
+  # fastest-varying axis): the replay path whose per-event cost grows
+  # with node count. Warm off the bundle above, so the gate below
+  # watches replay throughput at n = 1024 only.
+  ./build/bench/sweep_main --spec shootout --threads 4 --shard 3/4 \
+    --format json --trace-bundle build/shootout.traces --out /dev/null \
+    --perf-out build/BENCH_sweep_largen_fresh.json
+
   echo "==> bus model: registry counters vs per-cell sweep output"
   # One warm deterministic run emits both the per-cell bus sub-objects
   # (SMP cells only — the flat/CMP cells must not carry one) and the
@@ -438,7 +449,7 @@ EOF
     --out build/sweep_tenants_warm.json
   diff -u tests/golden/sweep_tenants.json build/sweep_tenants_warm.json
 
-  echo "==> perf gates: warm replay + cold build, 20% regression budget"
+  echo "==> perf gates: warm replay, cold build, large-n replay; 20% budget"
   # Each gate compares absolute cells/sec against a baseline committed
   # from the CI container; on a substantially slower machine export
   # STAGEDCMP_SKIP_PERF_GATE=1 instead of committing that machine's
@@ -493,6 +504,7 @@ EOF
   gate_cps warm BENCH_sweep.json build/BENCH_sweep_fresh.json
   gate_cps warm_mmap BENCH_sweep.json build/BENCH_sweep_fresh.json warm_mmap
   gate_cps cold BENCH_sweep_cold.json build/BENCH_sweep_cold_fresh.json
+  gate_cps largen BENCH_sweep_largen.json build/BENCH_sweep_largen_fresh.json
   cat build/BENCH_sweep_fresh.json
 fi
 

@@ -77,11 +77,20 @@ class ReplayEngine {
   SimResult Run() {
     assert(!(config_.loop_traces && config_.max_instructions == 0));
 
-    std::vector<bool> done(cores_.size(), false);
     std::vector<double> measure_start(cores_.size(), 0.0);
-    for (size_t i = 0; i < cores_.size(); ++i) {
-      if (!cores_[i].active) done[i] = true;
+    // Active cores as a binary heap whose front is the next core to step:
+    // the smallest local clock, the lowest index on equal clocks. The key
+    // is a strict total order, so the front is exactly the core a scan
+    // over all cores would pick, at O(log n) per step instead of O(n).
+    const auto later = [this](uint32_t a, uint32_t b) {
+      const double ta = cores_[a].now, tb = cores_[b].now;
+      return ta > tb || (ta == tb && a > b);
+    };
+    std::vector<uint32_t> runnable;
+    for (uint32_t i = 0; i < cores_.size(); ++i) {
+      if (cores_[i].active) runnable.push_back(i);
     }
+    std::make_heap(runnable.begin(), runnable.end(), later);
 
     measuring_ = config_.warmup_instructions == 0;
     bool warmed = measuring_;
@@ -109,19 +118,15 @@ class ReplayEngine {
           total_committed_ >= static_cast<double>(config_.max_instructions)) {
         break;
       }
-      // Pick the active core with the smallest local clock.
-      int best = -1;
-      for (size_t i = 0; i < cores_.size(); ++i) {
-        if (done[i]) continue;
-        if (best < 0 ||
-            cores_[i].now < cores_[static_cast<size_t>(best)].now) {
-          best = static_cast<int>(i);
-        }
-      }
-      if (best < 0) break;  // all traces drained
-      Core& core = cores_[static_cast<size_t>(best)];
-      if (!StepCore(core, static_cast<uint32_t>(best))) {
-        done[static_cast<size_t>(best)] = true;
+      if (runnable.empty()) break;  // all traces drained
+      // Move the next core out of the heap, step it (only its own clock
+      // moves), then put it back at its new clock or retire it.
+      std::pop_heap(runnable.begin(), runnable.end(), later);
+      const uint32_t id = runnable.back();
+      if (StepCore(cores_[id], id)) {
+        std::push_heap(runnable.begin(), runnable.end(), later);
+      } else {
+        runnable.pop_back();
       }
     }
 

@@ -1,6 +1,8 @@
 #include "harness/experiment.h"
 
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "cacti/cache_model.h"
 #include "harness/world.h"
@@ -25,7 +27,25 @@ TraceSet WorkloadFactory::Build(const TraceSetConfig& config) const {
   return world.Build(config);
 }
 
+namespace {
+
+// The widest hierarchy instantiation tracks sharers for kWideMaxNodes
+// nodes; its constructor aborts past that. Reject out-of-range node
+// counts here, before anything is built, with an error a caller can
+// catch and report.
+void CheckNodeCount(uint32_t cores) {
+  if (cores == 0 || cores > memsim::kWideMaxNodes) {
+    throw std::invalid_argument(
+        "experiment: cores must be in [1, " +
+        std::to_string(memsim::kWideMaxNodes) + "] (kWideMaxNodes), got " +
+        std::to_string(cores));
+  }
+}
+
+}  // namespace
+
 memsim::HierarchyConfig MakeHierarchyConfig(const ExperimentConfig& config) {
+  CheckNodeCount(config.cores);
   memsim::HierarchyConfig h;
   h.num_cores = config.cores;
   h.l1i = memsim::CacheConfig{32 * 1024, 4, 64};
@@ -70,6 +90,7 @@ coresim::CoreParams MakeCoreParams(coresim::Camp camp) {
 
 coresim::SimConfig MakeSimConfig(const ExperimentConfig& config,
                                  const TraceSet& traces) {
+  CheckNodeCount(config.cores);
   coresim::SimConfig sc;
   sc.core = MakeCoreParams(config.camp);
   sc.num_cores = config.cores;

@@ -152,7 +152,9 @@ struct ResolvedHardware {
   uint32_t contexts_per_core = 0;
 };
 
-/// Runs one configuration over a trace set. When `metrics` is non-null
+/// Runs one configuration over a trace set. Throws std::invalid_argument,
+/// before building anything, when config.cores is 0 or above
+/// memsim::kWideMaxNodes. When `metrics` is non-null
 /// the replay engine folds the run's counters into it under `replay.*`
 /// (see SimConfig::metrics); results are identical either way.
 coresim::SimResult RunExperiment(const ExperimentConfig& config,
@@ -162,7 +164,7 @@ coresim::SimResult RunExperiment(const ExperimentConfig& config,
 
 /// Builds the hierarchy and replay configs RunExperiment uses, without
 /// running (tests/inspection). MakeSimConfig leaves SimConfig::metrics
-/// unset.
+/// unset. Both reject out-of-range node counts as RunExperiment does.
 memsim::HierarchyConfig MakeHierarchyConfig(const ExperimentConfig& config);
 coresim::SimConfig MakeSimConfig(const ExperimentConfig& config,
                                  const TraceSet& traces);

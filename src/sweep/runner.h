@@ -120,9 +120,16 @@ struct SweepReport {
   MetricsSnapshot metrics;
   bool has_metrics = false;
 
+  /// Cells this run simulated: the whole grid, or a shard's share of it
+  /// (`cells` always spans the whole grid).
+  size_t cells_simulated() const {
+    if (shard_count <= 1) return cells.size();
+    return cells.size() / shard_count +
+           (shard_index < cells.size() % shard_count ? 1 : 0);
+  }
   double cells_per_second() const {
     return wall_seconds > 0.0
-               ? static_cast<double>(cells.size()) / wall_seconds
+               ? static_cast<double>(cells_simulated()) / wall_seconds
                : 0.0;
   }
   /// Total events the replay cores consumed across all cells.

@@ -430,7 +430,7 @@ void EmitPerfSummary(const SweepReport& report, std::ostream& os,
     o.Field("environment", env.str());
   }
   o.Int("threads", report.threads);
-  o.Int("cells", report.cells.size());
+  o.Int("cells", report.cells_simulated());
   o.Str("trace_bundle", report.bundle);
   // Transport that served the bundle (off/cold/fread/mmap) — the knob
   // the warm_mmap section below and the check.sh fallback passes key on.

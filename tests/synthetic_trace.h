@@ -26,19 +26,23 @@ namespace stagedcmp::synthetic {
 /// clients (coherence and L1-to-L1 traffic) and a 32MB per-client private
 /// region (capacity misses), a sprinkle of dependent (pointer-chase)
 /// accesses, and occasional request markers.
-inline std::vector<trace::ClientTrace> MakeTraces(uint64_t seed,
-                                                  uint32_t clients,
-                                                  size_t events_per_client) {
+///
+/// This overload gives client c `lengths[c]` events. Each client's stream
+/// depends only on (seed, c), so a shorter trace is a prefix of the
+/// longer one the same seed would produce.
+inline std::vector<trace::ClientTrace> MakeTraces(
+    uint64_t seed, const std::vector<size_t>& lengths) {
   constexpr uint64_t kCodeBase = 0x400000000000ULL;
   constexpr uint64_t kSharedBase = 0x100000000000ULL;
   constexpr uint64_t kPrivateBase = 0x200000000000ULL;
 
+  const uint32_t clients = static_cast<uint32_t>(lengths.size());
   std::vector<trace::ClientTrace> out(clients);
   for (uint32_t c = 0; c < clients; ++c) {
     Rng rng(seed * 1000003 + c * 7919 + 1);
     trace::ClientTrace& t = out[c];
-    t.events.reserve(events_per_client);
-    for (size_t i = 0; i < events_per_client; ++i) {
+    t.events.reserve(lengths[c]);
+    for (size_t i = 0; i < lengths[c]; ++i) {
       const uint32_t pick = static_cast<uint32_t>(rng.Next() % 100);
       if (pick < 30) {
         const uint64_t pc = kCodeBase + (rng.Next() % (1u << 20));
@@ -69,6 +73,12 @@ inline std::vector<trace::ClientTrace> MakeTraces(uint64_t seed,
     }
   }
   return out;
+}
+
+inline std::vector<trace::ClientTrace> MakeTraces(uint64_t seed,
+                                                  uint32_t clients,
+                                                  size_t events_per_client) {
+  return MakeTraces(seed, std::vector<size_t>(clients, events_per_client));
 }
 
 /// Serializes every counter a replay produces — hierarchy stats, hit

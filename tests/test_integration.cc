@@ -2,6 +2,9 @@
 // and the paper's qualitative claims as executable assertions.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "harness/experiment.h"
 
 namespace stagedcmp::harness {
@@ -141,6 +144,32 @@ TEST_F(IntegrationTest, DeterministicEndToEnd) {
   coresim::SimResult b = RunExperiment(ec, t);
   EXPECT_EQ(a.elapsed_cycles, b.elapsed_cycles);
   EXPECT_EQ(a.instructions, b.instructions);
+}
+
+// Node counts outside [1, kWideMaxNodes] are rejected with an exception
+// naming the limit, before any hierarchy is built (whose constructor
+// would otherwise abort the process).
+TEST_F(IntegrationTest, OutOfRangeNodeCountThrows) {
+  const TraceSet empty;
+  for (uint32_t cores : {0u, memsim::kWideMaxNodes + 1}) {
+    ExperimentConfig ec = SmallConfig();
+    ec.cores = cores;
+    EXPECT_THROW(MakeHierarchyConfig(ec), std::invalid_argument) << cores;
+    EXPECT_THROW(MakeSimConfig(ec, empty), std::invalid_argument) << cores;
+    try {
+      RunExperiment(ec, empty);
+      ADD_FAILURE() << cores << "-node experiment ran";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("1024"), std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find(std::to_string(cores)),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  ExperimentConfig widest = SmallConfig();
+  widest.cores = memsim::kWideMaxNodes;
+  EXPECT_EQ(MakeHierarchyConfig(widest).num_cores, memsim::kWideMaxNodes);
 }
 
 TEST_F(IntegrationTest, StagedEngineTracesBuild) {

@@ -21,6 +21,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "coresim/replay_core.h"
@@ -309,6 +311,271 @@ TEST_F(ReplayEquivalenceTest, GenericDispatchBitEqual) {
     }
   }
 }
+
+// ---------------------------------------------------------------------------
+// Scheduler-order pins at scale
+// ---------------------------------------------------------------------------
+//
+// The 4-core pins above never retire a core mid-run, never start with
+// idle cores and never reach hundreds of equal clocks. The fingerprints
+// below were captured from the linear-scan scheduler (pick the smallest
+// clock, the lowest core index on ties) and pin that order through the
+// shapes it has to survive: 3, 256 and 1024 cores; fewer clients than
+// cores, so some cores never become active; uneven trace lengths, so
+// cores drain and retire at different times; and a looped run with
+// warmup at 1024 cores.
+
+struct ScaleCase {
+  const char* name;
+  bool smp;
+  bool lean;
+  uint32_t cores;
+  uint32_t clients;
+  size_t events_per_client;
+  bool uneven;  // client c replays 1/5 .. 5/5 of events_per_client
+  bool looped;
+  const char* golden;
+};
+
+constexpr const char* kCmp3FatUneven = R"fp(instructions=2777653
+elapsed_cycles=8199976
+requests_completed=5435
+avg_response_cycles=0x1.ae72075eb7d3p+11
+data_L1-hit=27949
+instr_L1-hit=169538
+data_L2-hit=30888
+instr_L2-hit=37909
+data_off-chip=61960
+instr_off-chip=16604
+data_coherence=0
+instr_coherence=0
+l1_to_l1_transfers=2208
+invalidations=2480
+writebacks=3124
+queue_delay_count=147361
+queue_delay_mean=0x1.3c1a5b754e756p+2
+l1d_hit_rate=0x1.d9d95fd901729p-3
+l1i_hit_rate=0x1.f399270e1b8eap-6
+l2_hit_rate=0x1.d5c2abad863dap-2
+computation=0x1.e4625db6db5f7p+20
+i-stall-L2=0x1.0226cp+19
+i-stall-mem=0x1.95ab7cp+22
+d-stall-L1=0x0p+0
+d-stall-L2hit=0x1.931cd49f62e23p+16
+d-stall-mem=0x1.1451c8ea06458p+23
+d-stall-coh=0x0p+0
+other=0x1.99074a84f94b9p+18
+)fp";
+constexpr const char* kSmp3LeanUneven = R"fp(instructions=2777652
+elapsed_cycles=15782862
+requests_completed=5435
+avg_response_cycles=0x1.1549a89aaa84ep+13
+data_L1-hit=22688
+instr_L1-hit=169184
+data_L2-hit=13374
+instr_L2-hit=4497
+data_off-chip=78626
+instr_off-chip=50370
+data_coherence=6109
+instr_coherence=0
+l1_to_l1_transfers=0
+invalidations=5261
+writebacks=10112
+queue_delay_count=135105
+queue_delay_mean=0x1.90cabb193bbcfp+1
+l1d_hit_rate=0x1.9010a61dac816p-3
+l1i_hit_rate=0x1.00903473244cp-5
+l2_hit_rate=0x1.0af37ef13f29dp-3
+computation=0x1.0fe49a7904945p+21
+i-stall-L2=0x1.a40b333339ep+13
+i-stall-mem=0x1.b92e846666b5ep+23
+d-stall-L1=0x0p+0
+d-stall-L2hit=0x1.29478000020cp+17
+d-stall-mem=0x1.0988233332f9p+24
+d-stall-coh=0x1.9ce0d99999a9ap+19
+other=0x0p+0
+)fp";
+constexpr const char* kCmp256LeanSparse = R"fp(instructions=4940169
+elapsed_cycles=392216
+requests_completed=9652
+avg_response_cycles=0x1.7cb6836d40e92p+12
+data_L1-hit=24300
+instr_L1-hit=301588
+data_L2-hit=50199
+instr_L2-hit=75820
+data_off-chip=139792
+instr_off-chip=21536
+data_coherence=0
+instr_coherence=0
+l1_to_l1_transfers=11492
+invalidations=47498
+writebacks=19394
+queue_delay_count=287347
+queue_delay_mean=0x1.050165d8959bdp+3
+l1d_hit_rate=0x1.d07995dc7bc27p-4
+l1i_hit_rate=0x1.c2071ad6951e9p-6
+l2_hit_rate=0x1.a9229719567c4p-2
+computation=0x1.e27039999998bp+21
+i-stall-L2=0x1.210dcp+18
+i-stall-mem=0x1.346996p+23
+d-stall-L1=0x0p+0
+d-stall-L2hit=0x1.ba906p+19
+d-stall-mem=0x1.5272d28p+25
+d-stall-coh=0x0p+0
+other=0x0p+0
+)fp";
+constexpr const char* kSmp256FatSparse = R"fp(instructions=4940169
+elapsed_cycles=6905777
+requests_completed=9652
+avg_response_cycles=0x1.b5916cb928e48p+16
+data_L1-hit=24055
+instr_L1-hit=301588
+data_L2-hit=784
+instr_L2-hit=1179
+data_off-chip=177724
+instr_off-chip=96177
+data_coherence=11728
+instr_coherence=0
+l1_to_l1_transfers=0
+invalidations=47587
+writebacks=33
+queue_delay_count=285629
+queue_delay_mean=0x1.9a87e53bdea99p+12
+l1d_hit_rate=0x1.d057552f9d5ap-4
+l1i_hit_rate=0x1.c2071ad6951e9p-6
+l2_hit_rate=0x1.f58f713bf410ap-8
+computation=0x1.aebfa1249249dp+21
+i-stall-L2=0x1.707p+13
+i-stall-mem=0x1.0ac1b248p+29
+d-stall-L1=0x0p+0
+d-stall-L2hit=0x1.3b0cccccccccep+11
+d-stall-mem=0x1.928d0c589dc6bp+24
+d-stall-coh=0x1.6cdd0ba45191dp+20
+other=0x1.df9a59eb8e3b4p+28
+)fp";
+constexpr const char* kCmp1024FatLooped = R"fp(instructions=2000012
+elapsed_cycles=436708
+requests_completed=3904
+avg_response_cycles=0x1.80d50a53832a3p+16
+data_L1-hit=1403
+instr_L1-hit=122149
+data_L2-hit=20981
+instr_L2-hit=29906
+data_off-chip=65202
+instr_off-chip=9448
+data_coherence=0
+instr_coherence=0
+l1_to_l1_transfers=4893
+invalidations=20487
+writebacks=7104
+queue_delay_count=125537
+queue_delay_mean=0x1.8f640ab19b034p+12
+l1d_hit_rate=0x1.0672a243b4675p-6
+l1i_hit_rate=0x1.caf24578120b8p-8
+l2_hit_rate=0x1.8663161c550c3p-2
+computation=0x1.5cc6400000006p+20
+i-stall-L2=0x1.25ab928p+27
+i-stall-mem=0x1.8f0c65p+25
+d-stall-L1=0x0p+0
+d-stall-L2hit=0x1.c7269ea2e002ap+16
+d-stall-mem=0x1.2696dae7f315ep+23
+d-stall-coh=0x0p+0
+other=0x1.a8674311212f5p+27
+)fp";
+constexpr const char* kSmp1024LeanUneven = R"fp(instructions=5686421
+elapsed_cycles=5620297
+requests_completed=11246
+avg_response_cycles=0x1.5476d01c68b5p+18
+data_L1-hit=8263
+instr_L1-hit=346899
+data_L2-hit=8
+instr_L2-hit=62
+data_off-chip=224744
+instr_off-chip=112499
+data_coherence=13702
+instr_coherence=0
+l1_to_l1_transfers=0
+invalidations=56662
+writebacks=0
+queue_delay_count=350945
+queue_delay_mean=0x1.af0824f5126cep+13
+l1d_hit_rate=0x1.14daf17969e63p-5
+l1i_hit_rate=0x1.cf91fdbfbf19ap-7
+l2_hit_rate=0x1.b12766b2c3158p-12
+computation=0x1.15a843333332cp+22
+i-stall-L2=0x1.98p+7
+i-stall-mem=0x1.78de1934p+30
+d-stall-L1=0x0p+0
+d-stall-L2hit=0x1.18p+6
+d-stall-mem=0x1.289a2dbcp+31
+d-stall-coh=0x1.18c30ccp+27
+other=0x0p+0
+)fp";
+
+const ScaleCase kScaleCases[] = {
+    {"Cmp3FatUneven", false, false, 3, 5, 60'000, true, false,
+     kCmp3FatUneven},
+    {"Smp3LeanUneven", true, true, 3, 5, 60'000, true, false,
+     kSmp3LeanUneven},
+    {"Cmp256LeanSparse", false, true, 256, 160, 2'000, false, false,
+     kCmp256LeanSparse},
+    {"Smp256FatSparse", true, false, 256, 160, 2'000, false, false,
+     kSmp256FatSparse},
+    {"Cmp1024FatLooped", false, false, 1024, 1024, 600, false, true,
+     kCmp1024FatLooped},
+    {"Smp1024LeanUneven", true, true, 1024, 1024, 600, true, false,
+     kSmp1024LeanUneven},
+};
+
+std::string ReplayScaleCase(const ScaleCase& c) {
+  std::vector<size_t> lengths(c.clients, c.events_per_client);
+  if (c.uneven) {
+    for (uint32_t i = 0; i < c.clients; ++i) {
+      lengths[i] = c.events_per_client * (1 + (i * 3) % 5) / 5;
+    }
+  }
+  const std::vector<trace::ClientTrace> traces =
+      synthetic::MakeTraces(/*seed=*/41, lengths);
+  std::vector<const trace::ClientTrace*> ptrs;
+  for (const auto& t : traces) ptrs.push_back(&t);
+  memsim::HierarchyConfig hc;
+  hc.num_cores = c.cores;
+  // Per-node L2s are kept small so a 1024-node SMP stays test-sized. SMP
+  // runs with the shared-bus model on, as the shootout grid does: like
+  // the CMP's L2 ports, the bus makes timing depend on which of two
+  // equal-clock cores issues first.
+  hc.l2 = c.smp ? memsim::CacheConfig{256ull << 10, 8, 64}
+                : memsim::CacheConfig{4ull << 20, 8, 64};
+  hc.smp_bus = c.smp;
+  auto h = c.smp ? memsim::MakeSmpHierarchy(hc) : memsim::MakeCmpHierarchy(hc);
+  coresim::SimConfig sc;
+  sc.core = c.lean ? coresim::CoreParams::Lean() : coresim::CoreParams::Fat();
+  sc.num_cores = c.cores;
+  sc.loop_traces = c.looped;
+  sc.max_instructions = c.looped ? 2'000'000 : 0;
+  sc.warmup_instructions = c.looped ? 500'000 : 0;
+  return synthetic::Fingerprint(
+      coresim::CmpSimulator(sc, h.get(), ptrs).Run());
+}
+
+void PrintTo(const ScaleCase& c, std::ostream* os) { *os << c.name; }
+
+class SchedulerOrderTest : public ::testing::TestWithParam<ScaleCase> {};
+
+TEST_P(SchedulerOrderTest, MatchesLinearScanOrder) {
+  // Same flag caveat as the 4-core pins above.
+#ifdef STAGEDCMP_NATIVE_TUNED
+  GTEST_SKIP() << "fingerprints are pinned at default Release flags; "
+                  "STAGEDCMP_NATIVE builds may contract FP differently";
+#endif
+  EXPECT_EQ(GetParam().golden, ReplayScaleCase(GetParam()));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Scale, SchedulerOrderTest, ::testing::ValuesIn(kScaleCases),
+    [](const ::testing::TestParamInfo<ScaleCase>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace stagedcmp

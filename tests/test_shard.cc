@@ -95,12 +95,17 @@ TEST_F(WarmGrid, MergedShardsEmitBytesIdenticalToUnshardedRun) {
     for (uint32_t i = 0; i < n; ++i) {
       const sweep::SweepReport shard = RunSpec(spec, bundle, i, n);
       EXPECT_EQ(shard.bundle, "warm") << "shard " << i << "/" << n;
+      // Throughput counts only the cells this shard simulated.
+      size_t mine = 0;
+      for (size_t c = 0; c < shard.cells.size(); ++c) mine += c % n == i;
+      EXPECT_EQ(shard.cells_simulated(), mine) << "shard " << i << "/" << n;
       texts.push_back(ShardText(shard));
     }
     sweep::SweepReport merged;
     std::string err;
     ASSERT_TRUE(sweep::MergeShardReports(spec, texts, &merged, &err))
         << err;
+    EXPECT_EQ(merged.cells_simulated(), whole.cells.size());
     // Full deterministic metrics — not just the golden subset — must be
     // byte-identical: all runs replayed the same mapped bundle.
     EXPECT_EQ(SinkBytes(merged, /*golden=*/false),
