@@ -1,4 +1,4 @@
-// Helpers shared by the bench binaries (sweep_main, micro_kernels).
+// Helpers shared by micro_kernels and the tests that pin what it measures.
 #ifndef STAGEDCMP_BENCH_BENCH_UTIL_H_
 #define STAGEDCMP_BENCH_BENCH_UTIL_H_
 
@@ -9,11 +9,12 @@
 
 namespace stagedcmp::benchutil {
 
-/// The SMP coherence-churn workload shared by micro_kernels'
-/// BM_SmpSnoopChurn/BM_SmpDirectoryChurn and sweep_main's
-/// --smp-dir-probe — one definition, so the two measurements really run
-/// the same comparison (README's Coherence & SMP scaling section relies
-/// on that). A hot write-shared region plus per-node working sets far
+/// The SMP coherence-churn workload micro_kernels'
+/// BM_SmpSnoopChurn/BM_SmpDirectoryChurn time, and on which
+/// tests/test_directory_equivalence.cc pins the two arms bit-identical —
+/// one definition, so the benchmark pair compares identical work
+/// (README's Coherence & SMP scaling section relies on that). A hot
+/// write-shared region plus per-node working sets far
 /// larger than the (1MB) private L2s: most data accesses miss locally
 /// and resolve through coherence, where the snoop arm pays
 /// O(num_cores) peer probes and the directory arm visits only holders.

@@ -184,11 +184,11 @@ static void BM_TpccNewOrderNative(benchmark::State& state) {
 }
 BENCHMARK(BM_TpccNewOrderNative);
 
-// SMP coherence churn at 64 nodes (benchutil::SmpChurnStream — the same
-// stream sweep_main's --smp-dir-probe measures): the snoop arm probes
-// all 63 peers per local L2 miss; the directory arm visits only the
-// sharers bitmap's set bits (usually zero or one). Same access stream
-// for both arms — the gap is pure coherence-resolution cost.
+// SMP coherence churn at 64 nodes (benchutil::SmpChurnStream, on which
+// test_directory_equivalence pins both arms bit-identical): the snoop
+// arm probes all 63 peers per local L2 miss; the directory arm visits
+// only the sharers bitmap's set bits (usually zero or one). Same access
+// stream for both arms — the gap is pure coherence-resolution cost.
 template <typename Hierarchy>
 static void SmpCoherenceChurn(benchmark::State& state) {
   Hierarchy h(benchutil::SmpChurnStream::Config());

@@ -6,7 +6,7 @@
 # byte-diffed across --threads 1/2/8, every set rebuilt from scratch
 # through the parallel build pool each time), emits BENCH perf
 # trajectories for both the cold build+sim path and the warm replay path
-# (cells/sec, wall-clock, SMP directory-vs-snoop probe), runs an
+# (cells/sec, wall-clock), runs an
 # observability pass (metrics + span timeline on, golden re-diffed,
 # counters cross-checked against the perf summary), exercises sharded
 # execution (cold shards + merge re-diffed against the golden; warm
@@ -15,7 +15,9 @@
 # the bundle transports (mapped load must beat the owning fread load by
 # >=10x), diffs the smokesmp grid against its golden (its directory-vs-
 # snoop arm equivalence is pinned by the SmokeSmpArmsTest ctest in
-# tests/test_directory_equivalence.cc), runs the 1024-node CMP-vs-SMP
+# tests/test_directory_equivalence.cc), diffs the fig2, fig3 and
+# ablstreambuf paper-figure grids against their goldens, runs the
+# 1024-node CMP-vs-SMP
 # shootout grid cold at three thread counts plus a warm re-diff (and
 # cross-checks the SMP bus-model counters against the per-cell sweep
 # output, and gates warm replay of its 1024-node cells against
@@ -177,19 +179,13 @@ if [[ $run_tier1 -eq 1 ]]; then
 
   echo "==> sweep smoke grid: BENCH trajectory (warm)"
   # Warm pass: replay-only single-thread trajectory (the committed
-  # BENCH_sweep.json baseline is measured exactly this way), plus the
-  # 64-node SMP directory-vs-snoop probe recorded as the summary's
-  # "smp_directory" section. Known scope limit: the gate below therefore
-  # watches replay throughput only — trace-GENERATION slowdowns show up
-  # in the cold pass's wall clock but are not gated (too noisy on shared
-  # CI hardware).
+  # BENCH_sweep.json baseline is measured exactly this way). Known scope
+  # limit: the gate below therefore watches replay throughput only —
+  # trace-GENERATION slowdowns show up in the cold pass's wall clock but
+  # are not gated (too noisy on shared CI hardware).
   ./build/bench/sweep_main --spec smoke --threads 1 --format json \
     --trace-bundle build/smoke.traces --out /dev/null \
-    --perf-out build/BENCH_sweep_fresh.json --smp-dir-probe
-  # The probe drives both SMP coherence arms with one access stream;
-  # their stats must come out bit-identical (sweep_main exits non-zero
-  # and records false here otherwise).
-  grep -q '"stats_bit_identical": true' build/BENCH_sweep_fresh.json
+    --perf-out build/BENCH_sweep_fresh.json
   # The default transport must actually be the mapped one, and the perf
   # summary must carry its warm_mmap section (gated below).
   grep -q '"bundle_mode": "mmap"' build/BENCH_sweep_fresh.json
@@ -300,6 +296,17 @@ EOF
   ./build/bench/sweep_main --spec smokesmp --threads 4 --golden \
     --out build/sweep_smokesmp_golden.json
   diff -u tests/golden/sweep_smokesmp.json build/sweep_smokesmp_golden.json
+
+  echo "==> paper-figure grids: cold goldens (fig2, fig3, ablstreambuf)"
+  # The builtin specs behind the paper's Figures 2 and 3 and the
+  # stream-buffer ablation, each rebuilt cold and diffed against its
+  # process-invariant golden. (ablstaged has none: its staged cells'
+  # trace totals still depend on heap placement; see ROADMAP.md.)
+  for s in fig2 fig3 ablstreambuf; do
+    ./build/bench/sweep_main --spec "$s" --threads 4 --golden \
+      --out "build/sweep_${s}_golden.json"
+    diff -u "tests/golden/sweep_$s.json" "build/sweep_${s}_golden.json"
+  done
 
   echo "==> sweep shootout grid: cold golden (--threads 1/2/8) + warm re-diff"
   # The CMP-vs-SMP scaling shootout runs both topologies to 1024 nodes

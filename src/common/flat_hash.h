@@ -12,7 +12,12 @@
 //     stay minimal under churn, so lookup cost does not degrade the way
 //     tombstone schemes do when the same lines are filled and evicted
 //     millions of times;
-//   * growth at 7/8 load by rehash into a doubled table.
+//   * growth at 7/8 load by rehash into a doubled table;
+//   * optional per-slot words: a map built with `words_per_slot` = W
+//     stores W uint64_t words beside every value (zeroed on insert,
+//     moved with the value by erase and rehash). The coherence
+//     directories keep each line's sharer bitmap there, so its width is
+//     a construction-time count rather than a type parameter.
 //
 // Iteration order is unspecified and changes across rehashes; callers
 // needing deterministic output must sort (the simulator only does point
@@ -30,7 +35,9 @@ namespace stagedcmp {
 template <typename V>
 class FlatMap64 {
  public:
-  explicit FlatMap64(size_t initial_capacity = 64) {
+  explicit FlatMap64(size_t initial_capacity = 64,
+                     uint32_t words_per_slot = 0)
+      : stride_(words_per_slot) {
     size_t cap = 16;
     while (cap < initial_capacity) cap <<= 1;
     Rebuild(cap);
@@ -39,6 +46,7 @@ class FlatMap64 {
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
   size_t capacity() const { return keys_.size(); }
+  uint32_t words_per_slot() const { return stride_; }
 
   /// Returns the value for `key`, or null if absent.
   V* Find(uint64_t key) {
@@ -53,7 +61,8 @@ class FlatMap64 {
     return const_cast<FlatMap64*>(this)->Find(key);
   }
 
-  /// Returns the value for `key`, default-constructing it on first use.
+  /// Returns the value for `key`, default-constructing it (and zeroing
+  /// its words) on first use.
   V& FindOrInsert(uint64_t key) {
     size_t i = Bucket(key);
     while (used_[i]) {
@@ -68,8 +77,19 @@ class FlatMap64 {
     used_[i] = 1;
     keys_[i] = key;
     vals_[i] = V{};
+    for (uint32_t w = 0; w < stride_; ++w) words_[i * stride_ + w] = 0;
     ++size_;
     return vals_[i];
+  }
+
+  /// The `words_per_slot()` words stored beside `v`, which must be a
+  /// value of this map (from Find, FindOrInsert or ForEach). Valid as
+  /// long as `v` is: until the next FindOrInsert or Erase.
+  uint64_t* Words(const V& v) {
+    return words_.data() + static_cast<size_t>(&v - vals_.data()) * stride_;
+  }
+  const uint64_t* Words(const V& v) const {
+    return const_cast<FlatMap64*>(this)->Words(v);
   }
 
   /// Removes `key` if present; returns whether it was. Backward-shift:
@@ -93,6 +113,9 @@ class FlatMap64 {
       if (((j - home) & mask_) >= ((j - i) & mask_)) {
         keys_[i] = keys_[j];
         vals_[i] = vals_[j];
+        for (uint32_t w = 0; w < stride_; ++w) {
+          words_[i * stride_ + w] = words_[j * stride_ + w];
+        }
         i = j;
       }
     }
@@ -137,9 +160,11 @@ class FlatMap64 {
     std::vector<uint64_t> old_keys = std::move(keys_);
     std::vector<V> old_vals = std::move(vals_);
     std::vector<uint8_t> old_used = std::move(used_);
+    std::vector<uint64_t> old_words = std::move(words_);
     keys_.assign(new_cap, 0);
     vals_.assign(new_cap, V{});
     used_.assign(new_cap, 0);
+    words_.assign(new_cap * stride_, 0);
     mask_ = new_cap - 1;
     shift_ = 64;
     while ((size_t{1} << (64 - shift_)) < new_cap) --shift_;
@@ -150,14 +175,19 @@ class FlatMap64 {
       used_[j] = 1;
       keys_[j] = old_keys[i];
       vals_[j] = old_vals[i];
+      for (uint32_t w = 0; w < stride_; ++w) {
+        words_[j * stride_ + w] = old_words[i * stride_ + w];
+      }
     }
   }
 
   std::vector<uint64_t> keys_;
   std::vector<V> vals_;
   std::vector<uint8_t> used_;
+  std::vector<uint64_t> words_;  // stride_ words per slot
   size_t mask_ = 0;
   uint32_t shift_ = 64;
+  uint32_t stride_ = 0;
   size_t size_ = 0;
 };
 

@@ -29,17 +29,34 @@ TraceSet WorkloadFactory::Build(const TraceSetConfig& config) const {
 
 namespace {
 
-// The widest hierarchy instantiation tracks sharers for kWideMaxNodes
-// nodes; its constructor aborts past that. Reject out-of-range node
-// counts here, before anything is built, with an error a caller can
-// catch and report.
+// The hierarchies' constructors abort past memsim::kMaxNodes nodes.
+// Reject out-of-range node counts here, before anything is built, with
+// an error a caller can catch and report.
 void CheckNodeCount(uint32_t cores) {
-  if (cores == 0 || cores > memsim::kWideMaxNodes) {
+  if (cores == 0 || cores > memsim::kMaxNodes) {
     throw std::invalid_argument(
         "experiment: cores must be in [1, " +
-        std::to_string(memsim::kWideMaxNodes) + "] (kWideMaxNodes), got " +
+        std::to_string(memsim::kMaxNodes) + "] (kMaxNodes), got " +
         std::to_string(cores));
   }
+}
+
+// L2 geometry for `bytes` of 64 B lines: 8 ways, widened until the set
+// count is a power of two, which Cache requires (its set index is a
+// mask). A 26 MB L2 has 53,248 sets at 8 ways and becomes 13 ways x
+// 32,768 sets; every power-of-two size keeps 8 ways.
+memsim::CacheConfig L2Geometry(uint64_t bytes) {
+  constexpr uint32_t kMinWays = 8;
+  constexpr uint32_t kMaxWays = 64;
+  for (uint32_t ways = kMinWays; ways <= kMaxWays; ++ways) {
+    const memsim::CacheConfig c{bytes, ways, 64};
+    if (memsim::Cache::Validate(c).ok()) return c;
+  }
+  throw std::invalid_argument(
+      "experiment: no L2 geometry of 64 B lines, " +
+      std::to_string(kMinWays) + ".." + std::to_string(kMaxWays) +
+      " ways and a power-of-two set count holds l2_bytes = " +
+      std::to_string(bytes));
 }
 
 }  // namespace
@@ -50,7 +67,7 @@ memsim::HierarchyConfig MakeHierarchyConfig(const ExperimentConfig& config) {
   h.num_cores = config.cores;
   h.l1i = memsim::CacheConfig{32 * 1024, 4, 64};
   h.l1d = memsim::CacheConfig{64 * 1024, 4, 64};
-  h.l2 = memsim::CacheConfig{config.l2_bytes, 8, 64};
+  h.l2 = L2Geometry(config.l2_bytes);
   h.lat.l1_hit = 2;
   h.lat.memory = config.memory_latency;
   if (config.latency == LatencyMode::kRealistic) {
@@ -91,6 +108,12 @@ coresim::CoreParams MakeCoreParams(coresim::Camp camp) {
 coresim::SimConfig MakeSimConfig(const ExperimentConfig& config,
                                  const TraceSet& traces) {
   CheckNodeCount(config.cores);
+  // A saturated run loops its traces until it has measured this many
+  // instructions; zero would never stop.
+  if (config.saturated && config.measure_instructions == 0) {
+    throw std::invalid_argument(
+        "experiment: a saturated run needs measure_instructions > 0");
+  }
   coresim::SimConfig sc;
   sc.core = MakeCoreParams(config.camp);
   sc.num_cores = config.cores;

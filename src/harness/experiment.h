@@ -125,6 +125,8 @@ class WorkloadFactory {
 struct ExperimentConfig {
   coresim::Camp camp = coresim::Camp::kFat;
   uint32_t cores = 4;
+  /// L2 capacity; 64 B lines in 8 ways, or more ways when that leaves a
+  /// non-power-of-two set count (26 MB: 13 ways x 32,768 sets).
   uint64_t l2_bytes = 26ull << 20;
   LatencyMode latency = LatencyMode::kRealistic;
   Topology topology = Topology::kCmpShared;
@@ -154,7 +156,9 @@ struct ResolvedHardware {
 
 /// Runs one configuration over a trace set. Throws std::invalid_argument,
 /// before building anything, when config.cores is 0 or above
-/// memsim::kWideMaxNodes. When `metrics` is non-null
+/// memsim::kMaxNodes, when no L2 geometry holds config.l2_bytes, or when
+/// a saturated run has measure_instructions == 0. When `metrics` is
+/// non-null
 /// the replay engine folds the run's counters into it under `replay.*`
 /// (see SimConfig::metrics); results are identical either way.
 coresim::SimResult RunExperiment(const ExperimentConfig& config,
@@ -164,7 +168,9 @@ coresim::SimResult RunExperiment(const ExperimentConfig& config,
 
 /// Builds the hierarchy and replay configs RunExperiment uses, without
 /// running (tests/inspection). MakeSimConfig leaves SimConfig::metrics
-/// unset. Both reject out-of-range node counts as RunExperiment does.
+/// unset. Both throw as RunExperiment does: MakeHierarchyConfig for the
+/// node count and the L2 geometry, MakeSimConfig for the node count and
+/// a saturated run's zero measurement budget.
 memsim::HierarchyConfig MakeHierarchyConfig(const ExperimentConfig& config);
 coresim::SimConfig MakeSimConfig(const ExperimentConfig& config,
                                  const TraceSet& traces);

@@ -1,5 +1,7 @@
 #include "memsim/cache.h"
 
+#include <stdexcept>
+
 namespace stagedcmp::memsim {
 
 namespace {
@@ -25,9 +27,10 @@ Status Cache::Validate(const CacheConfig& c) {
 }
 
 Cache::Cache(const CacheConfig& config) : config_(config) {
-  Status s = Validate(config);
-  assert(s.ok());
-  (void)s;
+  // Checked in every build type: a bad geometry would otherwise index a
+  // fraction of the array (a non-power-of-two set count masks badly).
+  const Status s = Validate(config);
+  if (!s.ok()) throw std::invalid_argument("Cache: " + s.message());
   num_sets_ = config.num_sets();
   set_shift_ = Log2Floor(num_sets_);
   const size_t ways = num_sets_ * config.associativity;

@@ -78,6 +78,7 @@ class Cache {
     bool hit() const { return way >= 0; }
   };
 
+  /// Throws std::invalid_argument when Validate(config) fails.
   explicit Cache(const CacheConfig& config);
 
   static Status Validate(const CacheConfig& config);

@@ -17,15 +17,13 @@ const char* AccessClassName(AccessClass c) {
 }
 
 // ---------------------------------------------------------------------------
-// SharedL2HierarchyImpl (CMP)
+// SharedL2Hierarchy (CMP)
 // ---------------------------------------------------------------------------
 
-template <uint32_t kMaxNodes>
-SharedL2HierarchyImpl<kMaxNodes>::SharedL2HierarchyImpl(
-    const HierarchyConfig& config)
-    : config_(config), l2_(config.l2) {
-  // The L1 directory's sharer masks are kMaxNodes wide; fail loudly
-  // rather than index past them (MakeCmpHierarchy routes by width).
+SharedL2Hierarchy::SharedL2Hierarchy(const HierarchyConfig& config)
+    : config_(config),
+      l2_(config.l2),
+      l1_dir_(64, BitWordsFor(config.num_cores)) {
   if (config.num_cores > kMaxNodes) {
     std::fprintf(stderr,
                  "SharedL2Hierarchy: L1 directory supports <= %u cores, "
@@ -42,16 +40,14 @@ SharedL2HierarchyImpl<kMaxNodes>::SharedL2HierarchyImpl(
   port_free_.assign(std::max<uint32_t>(1, config.l2_ports), 0);
 }
 
-template <uint32_t kMaxNodes>
-void SharedL2HierarchyImpl<kMaxNodes>::ResetStats() {
+void SharedL2Hierarchy::ResetStats() {
   stats_ = HierarchyStats();
   l2_.ResetCounters();
   for (Cache& c : l1i_) c.ResetCounters();
   for (Cache& c : l1d_) c.ResetCounters();
 }
 
-template <uint32_t kMaxNodes>
-double SharedL2HierarchyImpl<kMaxNodes>::L1DHitRate() const {
+double SharedL2Hierarchy::L1DHitRate() const {
   uint64_t h = 0, m = 0;
   for (const Cache& c : l1d_) {
     h += c.hits();
@@ -60,8 +56,7 @@ double SharedL2HierarchyImpl<kMaxNodes>::L1DHitRate() const {
   return (h + m) ? static_cast<double>(h) / static_cast<double>(h + m) : 0.0;
 }
 
-template <uint32_t kMaxNodes>
-double SharedL2HierarchyImpl<kMaxNodes>::L1IHitRate() const {
+double SharedL2Hierarchy::L1IHitRate() const {
   uint64_t h = 0, m = 0;
   for (const Cache& c : l1i_) {
     h += c.hits();
@@ -74,32 +69,20 @@ double SharedL2HierarchyImpl<kMaxNodes>::L1IHitRate() const {
 // Explicit instantiations
 // ---------------------------------------------------------------------------
 
-// Every arm/width combination the factories (and, for the snoop arm, the
-// equivalence tests) can name. These force every member of each
-// combination to compile even in a build whose TUs exercise only some of
-// them. Deliberately NOT paired with `extern template` declarations in
-// the header: suppressing per-TU instantiation would also stop the
-// replay engine from inlining the per-access methods, which is the whole
-// point of the design.
-template class SharedL2HierarchyImpl<kNarrowMaxNodes>;
-template class SharedL2HierarchyImpl<kWideMaxNodes>;
-template class PrivateL2HierarchyImpl<true, kNarrowMaxNodes>;   // directory
-template class PrivateL2HierarchyImpl<true, kWideMaxNodes>;     // wide dir
-template class PrivateL2HierarchyImpl<false, kNarrowMaxNodes>;  // snoop ref
+// Both SMP arms: the directory the factory builds and the snoop reference
+// arm the equivalence tests replay. These force every member of each arm
+// to compile even in a build whose TUs exercise only one of them.
+// Deliberately NOT paired with `extern template` declarations in the
+// header: suppressing per-TU instantiation would also stop the replay
+// engine from inlining the per-access methods, which is the whole point
+// of the design.
+template class PrivateL2HierarchyImpl<true>;   // directory
+template class PrivateL2HierarchyImpl<false>;  // snoop reference
 
 std::unique_ptr<MemoryHierarchy> MakeCmpHierarchy(const HierarchyConfig& c) {
-  // Narrow through 64 cores — the historical single-word-mask hot path —
-  // wide through 1024 (the constructor aborts past that).
-  if (c.num_cores > kNarrowMaxNodes) {
-    return std::make_unique<SharedL2HierarchyWide>(c);
-  }
   return std::make_unique<SharedL2Hierarchy>(c);
 }
 std::unique_ptr<MemoryHierarchy> MakeSmpHierarchy(const HierarchyConfig& c) {
-  // Route by sharers-bitmap width, exactly as MakeCmpHierarchy does.
-  if (c.num_cores > kNarrowMaxNodes) {
-    return std::make_unique<PrivateL2HierarchyWide>(c);
-  }
   return std::make_unique<PrivateL2Hierarchy>(c);
 }
 

@@ -19,15 +19,16 @@
 // `Cache::Probe` whose handle is reused for the hit/fill/state steps, and
 // both coherence directories — the CMP L1 directory and the SMP private-L2
 // sharers-bitmap directory — are flat open-addressed tables
-// (common/flat_hash.h) probed inline. Sharer sets are fixed-width
-// `BitSet<kMaxNodes>` masks (common/bitset.h): each hierarchy is templated
-// on its maximum node count, and the narrow (64-node) instantiation keeps
-// the exact single-word mask code the hot path always had while the wide
-// (1024-node) instantiation serves the large-n shootout grids. The
-// `MemoryHierarchy` interface remains the virtual facade for the harness;
-// VisitHierarchy (below the type aliases) is the one place that maps it
-// back to the four concrete production types. The SMP coherence protocol
-// itself is documented in docs/COHERENCE.md.
+// (common/flat_hash.h) probed inline. Sharer sets are runtime-width
+// bitmaps: each directory stores ceil(num_cores / 64) words per line,
+// fixed at construction, as the table's per-slot words, and walks them
+// through a `BitSpan` view (common/bitset.h). A machine of up to 64 nodes
+// therefore keeps a one-word mask and a 1024-node one sixteen words, with
+// one type per topology. The `MemoryHierarchy` interface remains the
+// virtual facade for the harness; VisitHierarchy (below the type
+// aliases) is the one place that maps it back to the two concrete
+// production types. The SMP coherence protocol itself is documented in
+// docs/COHERENCE.md.
 #ifndef STAGEDCMP_MEMSIM_HIERARCHY_H_
 #define STAGEDCMP_MEMSIM_HIERARCHY_H_
 
@@ -48,11 +49,11 @@
 
 namespace stagedcmp::memsim {
 
-/// Node-count ceilings for the two sharer-bitmap instantiations. Narrow
-/// covers every historical spec (and compiles to the old scalar-mask
-/// code); wide covers the large-n CMP-vs-SMP shootout grids.
-inline constexpr uint32_t kNarrowMaxNodes = 64;
-inline constexpr uint32_t kWideMaxNodes = 1024;
+/// Node-count ceiling of both hierarchies (their constructors abort past
+/// it) and of every experiment (harness::MakeHierarchyConfig throws past
+/// it). The directories size their sharer sets from num_cores, so
+/// nothing else depends on it.
+inline constexpr uint32_t kMaxNodes = 1024;
 
 /// Where an access was satisfied; drives stall attribution.
 enum class AccessClass : uint8_t {
@@ -160,13 +161,32 @@ class MemoryHierarchy {
   virtual double L2HitRate() const = 0;
 };
 
+/// Coherence-directory entry, shared by both hierarchies: which node, if
+/// any, holds the line dirty (`dirty_owner`, -1 for none). The line's
+/// sharer set — one bit per node — is stored beside it as the
+/// directory's per-slot words (SharersOf). The SMP directory mirrors L2
+/// state only — an L1-Modified line whose L2 copy is still Exclusive has
+/// dirty_owner == -1, matching what a snoop of the L2s would see.
+struct DirEntry {
+  int16_t dirty_owner = -1;
+};
+
+/// line -> DirEntry, with BitWordsFor(num_cores) sharer words per line.
+using SharerDirectory = FlatMap64<DirEntry>;
+
+/// The sharer set of `e`, an entry of `dir`; valid as long as `e` is.
+inline BitSpan SharersOf(SharerDirectory& dir, const DirEntry& e) {
+  return BitSpan(dir.Words(e), dir.words_per_slot());
+}
+inline ConstBitSpan SharersOf(const SharerDirectory& dir,
+                              const DirEntry& e) {
+  return ConstBitSpan(dir.Words(e), dir.words_per_slot());
+}
+
 /// CMP: private split L1s, one shared banked L2, on-chip L1-to-L1 transfers.
-/// Templated on the maximum node count the L1 directory's sharer masks can
-/// register; construction aborts past it.
-template <uint32_t kMaxNodes>
-class SharedL2HierarchyImpl final : public MemoryHierarchy {
+class SharedL2Hierarchy final : public MemoryHierarchy {
  public:
-  explicit SharedL2HierarchyImpl(const HierarchyConfig& config);
+  explicit SharedL2Hierarchy(const HierarchyConfig& config);
 
   inline AccessResult AccessData(uint32_t core, uint64_t addr, bool is_write,
                                  uint64_t now) override;
@@ -196,34 +216,10 @@ class SharedL2HierarchyImpl final : public MemoryHierarchy {
   // dirty. Flat open-addressed table — probed on every L1D fill and
   // eviction, which made unordered_map's node allocations a measured
   // hot spot.
-  struct DirEntry {
-    BitSet<kMaxNodes> sharers;
-    int16_t dirty_owner = -1;
-  };
-  FlatMap64<DirEntry> l1_dir_;
+  SharerDirectory l1_dir_;
   HierarchyStats stats_;
   uint32_t line_shift_;
 };
-
-/// The historical CMP type: covers every spec up to 64 cores with
-/// single-word sharer masks (bit-identical to the old u32-mask code).
-using SharedL2Hierarchy = SharedL2HierarchyImpl<kNarrowMaxNodes>;
-/// Wide CMP instantiation for the large-n shootout grids.
-using SharedL2HierarchyWide = SharedL2HierarchyImpl<kWideMaxNodes>;
-
-/// Coherence-directory entry over the private L2s: which nodes hold the
-/// line in any non-Invalid state (`sharers`, one bit per node) and which
-/// node, if any, holds it Modified in its L2 (`dirty_owner`, -1 for
-/// none). The directory mirrors L2 state only — an L1-Modified line whose
-/// L2 copy is still Exclusive has dirty_owner == -1, matching what a
-/// snoop of the L2s would see.
-template <uint32_t kMaxNodes>
-struct SmpDirEntryT {
-  BitSet<kMaxNodes> sharers;
-  int16_t dirty_owner = -1;
-};
-/// The narrow (64-node) entry most tests poke at directly.
-using SmpDirEntry = SmpDirEntryT<kNarrowMaxNodes>;
 
 /// SMP: each node has split L1s and a private L2; MESI over the L2s.
 /// Dirty-remote reads are long-latency cache-to-cache transfers; writes to
@@ -232,13 +228,12 @@ using SmpDirEntry = SmpDirEntryT<kNarrowMaxNodes>;
 /// attribution, bus cycle accounting — is documented in docs/COHERENCE.md.
 ///
 /// Two arms share this implementation, selected at compile time:
-///   * kUseDirectory = true (`PrivateL2Hierarchy` narrow /
-///     `PrivateL2HierarchyWide`, the default): a sharers-bitmap directory
-///     (`FlatMap64<SmpDirEntryT<kMaxNodes>>`) kept exactly in sync by
-///     every L2 fill, invalidation, downgrade and eviction. L2 misses and
-///     write upgrades visit only the bitmap's set bits, so coherence cost
-///     scales with the number of actual holders instead of with
-///     num_cores. Construction aborts past kMaxNodes.
+///   * kUseDirectory = true (`PrivateL2Hierarchy`, the default): a
+///     sharers-bitmap directory (`SharerDirectory`) kept exactly in sync
+///     by every L2 fill, invalidation, downgrade and eviction. L2 misses
+///     and write upgrades visit only the bitmap's set bits, so coherence
+///     cost scales with the number of actual holders instead of with
+///     num_cores.
 ///   * kUseDirectory = false (`PrivateL2SnoopHierarchy`): the original
 ///     broadcast snoop that probes every peer L2 per miss/upgrade. Kept
 ///     only as the reference arm: no factory builds it, and
@@ -249,7 +244,7 @@ using SmpDirEntry = SmpDirEntryT<kNarrowMaxNodes>;
 /// coherence latencies (the pinned reference) or the shared-bus occupancy
 /// model. Both coherence arms charge the bus through the same code, so
 /// directory-vs-snoop stays bit-identical with the bus on or off.
-template <bool kUseDirectory, uint32_t kMaxNodes = kNarrowMaxNodes>
+template <bool kUseDirectory>
 class PrivateL2HierarchyImpl final : public MemoryHierarchy {
  public:
   explicit PrivateL2HierarchyImpl(const HierarchyConfig& config);
@@ -267,9 +262,7 @@ class PrivateL2HierarchyImpl final : public MemoryHierarchy {
   double L2HitRate() const override;
 
   /// The coherence directory (empty for the snoop arm). Tests only.
-  const FlatMap64<SmpDirEntryT<kMaxNodes>>& directory() const {
-    return l2_dir_;
-  }
+  const SharerDirectory& directory() const { return l2_dir_; }
 
   /// Cross-checks the directory against the actual L2 contents, both
   /// ways: every resident L2 line must have its node's sharer bit set
@@ -318,11 +311,12 @@ class PrivateL2HierarchyImpl final : public MemoryHierarchy {
   /// victim line. Called on every valid `EvictedLine` an L2 fill returns
   /// (data and instruction paths alike) so the bitmap never goes stale.
   inline void DirNoteEviction(uint32_t node, const EvictedLine& ev) {
-    SmpDirEntryT<kMaxNodes>* e = l2_dir_.Find(ev.line_addr);
+    DirEntry* e = l2_dir_.Find(ev.line_addr);
     if (e == nullptr) return;
-    e->sharers.Reset(node);
+    const BitSpan sharers = SharersOf(l2_dir_, *e);
+    sharers.Reset(node);
     if (e->dirty_owner == static_cast<int16_t>(node)) e->dirty_owner = -1;
-    if (e->sharers.None()) l2_dir_.Erase(ev.line_addr);
+    if (sharers.None()) l2_dir_.Erase(ev.line_addr);
   }
 
   HierarchyConfig config_;
@@ -332,30 +326,27 @@ class PrivateL2HierarchyImpl final : public MemoryHierarchy {
   std::vector<StreamBufferFile> sbuf_;
   // line -> {sharers bitmap, dirty owner} over the private L2s. Flat
   // open-addressed table (same rationale as the CMP L1 directory):
-  // probed on every L2 miss, upgrade, fill and eviction.
-  FlatMap64<SmpDirEntryT<kMaxNodes>> l2_dir_;
+  // probed on every L2 miss, upgrade, fill and eviction. Empty, with no
+  // sharer words, in the snoop arm.
+  SharerDirectory l2_dir_;
   HierarchyStats stats_;
   uint64_t bus_free_ = 0;  // shared-bus next-free time (smp_bus arm)
   uint32_t line_shift_;
 };
 
 /// Directory-based SMP hierarchy (the default; coherence actions visit
-/// only the line's actual holders). Narrow: up to 64 nodes.
-using PrivateL2Hierarchy = PrivateL2HierarchyImpl<true, kNarrowMaxNodes>;
-/// Wide directory arm for the shootout grids (up to 1024 nodes).
-using PrivateL2HierarchyWide = PrivateL2HierarchyImpl<true, kWideMaxNodes>;
+/// only the line's actual holders).
+using PrivateL2Hierarchy = PrivateL2HierarchyImpl<true>;
 /// Broadcast-snoop reference arm for the equivalence tests (O(num_cores)
-/// probes per miss/upgrade; no sharer bitmaps, so one instantiation
-/// serves every node count).
+/// probes per miss/upgrade; no sharer bitmaps).
 using PrivateL2SnoopHierarchy = PrivateL2HierarchyImpl<false>;
 
-/// Factory helpers used by the harness. Both route by node count: the
-/// narrow instantiation through 64 nodes (the historical hot path), the
-/// wide one through 1024; past that the constructor aborts.
+/// Factory helpers used by the harness. Past kMaxNodes the constructors
+/// abort.
 std::unique_ptr<MemoryHierarchy> MakeCmpHierarchy(const HierarchyConfig& c);
 std::unique_ptr<MemoryHierarchy> MakeSmpHierarchy(const HierarchyConfig& c);
 
-/// Calls `f` with `h` downcast to its concrete type — one of the four
+/// Calls `f` with `h` downcast to its concrete type — one of the two
 /// production hierarchies the factories above build — and returns its
 /// result. This is the one list of those types: code instantiated per
 /// type through it (the replay engine) devirtualizes and inlines the
@@ -365,8 +356,6 @@ template <class F>
 decltype(auto) VisitHierarchy(MemoryHierarchy& h, F&& f) {
   if (auto* p = dynamic_cast<SharedL2Hierarchy*>(&h)) return f(*p);
   if (auto* p = dynamic_cast<PrivateL2Hierarchy*>(&h)) return f(*p);
-  if (auto* p = dynamic_cast<SharedL2HierarchyWide*>(&h)) return f(*p);
-  if (auto* p = dynamic_cast<PrivateL2HierarchyWide*>(&h)) return f(*p);
   std::fprintf(stderr,
                "VisitHierarchy: not a production hierarchy type (build it "
                "with MakeCmpHierarchy or MakeSmpHierarchy)\n");
@@ -374,12 +363,11 @@ decltype(auto) VisitHierarchy(MemoryHierarchy& h, F&& f) {
 }
 
 // ---------------------------------------------------------------------------
-// SharedL2HierarchyImpl (CMP) — inline hot path
+// SharedL2Hierarchy (CMP) — inline hot path
 // ---------------------------------------------------------------------------
 
-template <uint32_t kMaxNodes>
-inline uint64_t SharedL2HierarchyImpl<kMaxNodes>::PortDelay(uint64_t line_addr,
-                                                            uint64_t now) {
+inline uint64_t SharedL2Hierarchy::PortDelay(uint64_t line_addr,
+                                             uint64_t now) {
   // Requests are distributed over ports by line address (banked L2); a
   // request waits until its bank's port frees, then occupies it.
   const size_t p = static_cast<size_t>(line_addr) % port_free_.size();
@@ -390,27 +378,26 @@ inline uint64_t SharedL2HierarchyImpl<kMaxNodes>::PortDelay(uint64_t line_addr,
   return delay;
 }
 
-template <uint32_t kMaxNodes>
-inline void SharedL2HierarchyImpl<kMaxNodes>::TrackL1Fill(uint32_t core,
-                                                          uint64_t line_addr,
-                                                          bool is_write) {
+inline void SharedL2Hierarchy::TrackL1Fill(uint32_t core, uint64_t line_addr,
+                                           bool is_write) {
   DirEntry& e = l1_dir_.FindOrInsert(line_addr);
+  const BitSpan sharers = SharersOf(l1_dir_, e);
   if (is_write) {
     // Invalidate all other L1 copies.
-    e.sharers.ForEachSetBitExcept(core, [&](uint32_t c) {
+    sharers.ForEachSetBitExcept(core, [&](uint32_t c) {
       l1d_[c].Invalidate(line_addr);
       ++stats_.invalidations;
     });
-    e.sharers.SetOnly(core);
+    sharers.SetOnly(core);
     e.dirty_owner = static_cast<int16_t>(core);
   } else {
-    e.sharers.Set(core);
+    sharers.Set(core);
   }
 }
 
-template <uint32_t kMaxNodes>
-inline AccessResult SharedL2HierarchyImpl<kMaxNodes>::AccessData(
-    uint32_t core, uint64_t addr, bool is_write, uint64_t now) {
+inline AccessResult SharedL2Hierarchy::AccessData(uint32_t core, uint64_t addr,
+                                                  bool is_write,
+                                                  uint64_t now) {
   AccessResult r;
   const uint64_t line = addr >> line_shift_;
   Cache& l1 = l1d_[core];
@@ -422,7 +409,7 @@ inline AccessResult SharedL2HierarchyImpl<kMaxNodes>::AccessData(
     if (is_write) {
       // Write to a shared line: invalidate remote L1 copies.
       if (DirEntry* e = l1_dir_.Find(line)) {
-        if (e->sharers.AnyExcept(core)) {
+        if (SharersOf(l1_dir_, *e).AnyExcept(core)) {
           TrackL1Fill(core, line, /*is_write=*/true);
         } else {
           e->dirty_owner = static_cast<int16_t>(core);
@@ -471,7 +458,8 @@ inline AccessResult SharedL2HierarchyImpl<kMaxNodes>::AccessData(
   EvictedLine l1ev = l1.FillAt(lp, line, is_write);
   if (l1ev.valid) {
     if (DirEntry* e = l1_dir_.Find(l1ev.line_addr)) {
-      e->sharers.Reset(core);
+      const BitSpan sharers = SharersOf(l1_dir_, *e);
+      sharers.Reset(core);
       if (e->dirty_owner == static_cast<int16_t>(core)) {
         e->dirty_owner = -1;
         // Dirty L1 victim is absorbed by the shared (writeback) L2.
@@ -480,7 +468,7 @@ inline AccessResult SharedL2HierarchyImpl<kMaxNodes>::AccessData(
           if (!pv.hit()) l2_.FillAt(pv, l1ev.line_addr, /*is_write=*/true);
         }
       }
-      if (e->sharers.None()) l1_dir_.Erase(l1ev.line_addr);
+      if (sharers.None()) l1_dir_.Erase(l1ev.line_addr);
     }
   }
   TrackL1Fill(core, line, is_write);
@@ -489,9 +477,9 @@ inline AccessResult SharedL2HierarchyImpl<kMaxNodes>::AccessData(
   return r;
 }
 
-template <uint32_t kMaxNodes>
-inline AccessResult SharedL2HierarchyImpl<kMaxNodes>::AccessInstr(
-    uint32_t core, uint64_t addr, uint64_t now) {
+inline AccessResult SharedL2Hierarchy::AccessInstr(uint32_t core,
+                                                   uint64_t addr,
+                                                   uint64_t now) {
   AccessResult r;
   const uint64_t line = addr >> line_shift_;
   Cache& l1 = l1i_[core];
@@ -533,9 +521,9 @@ inline AccessResult SharedL2HierarchyImpl<kMaxNodes>::AccessInstr(
 // PrivateL2HierarchyImpl (SMP) — inline hot path, both arms
 // ---------------------------------------------------------------------------
 
-template <bool kUseDirectory, uint32_t kMaxNodes>
+template <bool kUseDirectory>
 inline AccessClass
-PrivateL2HierarchyImpl<kUseDirectory, kMaxNodes>::FetchRemoteOrMemory(
+PrivateL2HierarchyImpl<kUseDirectory>::FetchRemoteOrMemory(
     uint32_t node, uint64_t line_addr, bool is_write, uint64_t now,
     const Cache::ProbeResult& p2, LineState* fill_state, uint64_t* bus_wait) {
   // Any L2-miss fill is one bus transaction: the address phase carries
@@ -572,12 +560,12 @@ PrivateL2HierarchyImpl<kUseDirectory, kMaxNodes>::FetchRemoteOrMemory(
   if constexpr (kUseDirectory) {
     // Visit only the directory's set bits — the actual holders — instead
     // of snooping all num_cores peers.
-    SmpDirEntryT<kMaxNodes>* de = l2_dir_.Find(line_addr);
-    if (de != nullptr) {
-      de->sharers.ForEachSetBitExcept(node, visit_peer);
+    if (DirEntry* de = l2_dir_.Find(line_addr)) {
+      const BitSpan sharers = SharersOf(l2_dir_, *de);
+      sharers.ForEachSetBitExcept(node, visit_peer);
       if (is_write) {
         // All peers invalidated; the filler re-registers below.
-        de->sharers.Clear();
+        sharers.Clear();
         de->dirty_owner = -1;
       } else if (dirty_remote) {
         de->dirty_owner = -1;  // the Modified holder was downgraded
@@ -596,8 +584,8 @@ PrivateL2HierarchyImpl<kUseDirectory, kMaxNodes>::FetchRemoteOrMemory(
     // Victim first (its Erase may move entries), then re-find the filled
     // line's entry and register the node.
     if (ev.valid) DirNoteEviction(node, ev);
-    SmpDirEntryT<kMaxNodes>& e = l2_dir_.FindOrInsert(line_addr);
-    e.sharers.Set(node);
+    DirEntry& e = l2_dir_.FindOrInsert(line_addr);
+    SharersOf(l2_dir_, e).Set(node);
     if (is_write) e.dirty_owner = static_cast<int16_t>(node);
   }
   if (ev.valid && ev.dirty) {
@@ -609,8 +597,8 @@ PrivateL2HierarchyImpl<kUseDirectory, kMaxNodes>::FetchRemoteOrMemory(
   return dirty_remote ? AccessClass::kCoherence : AccessClass::kOffChip;
 }
 
-template <bool kUseDirectory, uint32_t kMaxNodes>
-inline AccessResult PrivateL2HierarchyImpl<kUseDirectory, kMaxNodes>::
+template <bool kUseDirectory>
+inline AccessResult PrivateL2HierarchyImpl<kUseDirectory>::
     AccessData(uint32_t core, uint64_t addr, bool is_write, uint64_t now) {
   AccessResult r;
   const uint64_t line = addr >> line_shift_;
@@ -665,10 +653,10 @@ inline AccessResult PrivateL2HierarchyImpl<kUseDirectory, kMaxNodes>::
       }
     };
     if constexpr (kUseDirectory) {
-      SmpDirEntryT<kMaxNodes>& de =
-          l2_dir_.FindOrInsert(line);  // resident => present
-      de.sharers.ForEachSetBitExcept(core, invalidate_peer);
-      de.sharers.SetOnly(core);
+      DirEntry& de = l2_dir_.FindOrInsert(line);  // resident => present
+      const BitSpan sharers = SharersOf(l2_dir_, de);
+      sharers.ForEachSetBitExcept(core, invalidate_peer);
+      sharers.SetOnly(core);
       de.dirty_owner = static_cast<int16_t>(core);
     } else {
       for (uint32_t n = 0; n < config_.num_cores; ++n) {
@@ -708,8 +696,8 @@ inline AccessResult PrivateL2HierarchyImpl<kUseDirectory, kMaxNodes>::
   return r;
 }
 
-template <bool kUseDirectory, uint32_t kMaxNodes>
-inline AccessResult PrivateL2HierarchyImpl<kUseDirectory, kMaxNodes>::
+template <bool kUseDirectory>
+inline AccessResult PrivateL2HierarchyImpl<kUseDirectory>::
     AccessInstr(uint32_t core, uint64_t addr, uint64_t now) {
   AccessResult r;
   const uint64_t line = addr >> line_shift_;
@@ -748,7 +736,7 @@ inline AccessResult PrivateL2HierarchyImpl<kUseDirectory, kMaxNodes>::
         l2_[core].FillAt(p2, line, false, LineState::kShared);
     if constexpr (kUseDirectory) {
       if (ev.valid) DirNoteEviction(core, ev);
-      l2_dir_.FindOrInsert(line).sharers.Set(core);
+      SharersOf(l2_dir_, l2_dir_.FindOrInsert(line)).Set(core);
     }
     // A dirty data victim displaced by the I-fill still posts its
     // writeback on the bus (kept outside the writebacks counter, which
@@ -768,21 +756,17 @@ inline AccessResult PrivateL2HierarchyImpl<kUseDirectory, kMaxNodes>::
 // arms in hierarchy.cc)
 // ---------------------------------------------------------------------------
 
-template <bool kUseDirectory, uint32_t kMaxNodes>
-PrivateL2HierarchyImpl<kUseDirectory, kMaxNodes>::PrivateL2HierarchyImpl(
+template <bool kUseDirectory>
+PrivateL2HierarchyImpl<kUseDirectory>::PrivateL2HierarchyImpl(
     const HierarchyConfig& config)
-    : config_(config) {
-  if constexpr (kUseDirectory) {
-    // The sharers bitmap is kMaxNodes wide. Fail loudly rather than let
-    // Set(node) index past it (MakeSmpHierarchy routes by width, so this
-    // fires only past the wide instantiation's cap).
-    if (config.num_cores > kMaxNodes) {
-      std::fprintf(stderr,
-                   "PrivateL2Hierarchy: directory supports <= %u nodes, "
-                   "got %u\n",
-                   kMaxNodes, config.num_cores);
-      std::abort();
-    }
+    : config_(config),
+      l2_dir_(64, kUseDirectory ? BitWordsFor(config.num_cores) : 0) {
+  if (kUseDirectory && config.num_cores > kMaxNodes) {
+    std::fprintf(stderr,
+                 "PrivateL2Hierarchy: directory supports <= %u nodes, "
+                 "got %u\n",
+                 kMaxNodes, config.num_cores);
+    std::abort();
   }
   line_shift_ = Log2Floor(config.l2.line_bytes);
   for (uint32_t i = 0; i < config.num_cores; ++i) {
@@ -793,8 +777,8 @@ PrivateL2HierarchyImpl<kUseDirectory, kMaxNodes>::PrivateL2HierarchyImpl(
   }
 }
 
-template <bool kUseDirectory, uint32_t kMaxNodes>
-void PrivateL2HierarchyImpl<kUseDirectory, kMaxNodes>::ResetStats() {
+template <bool kUseDirectory>
+void PrivateL2HierarchyImpl<kUseDirectory>::ResetStats() {
   // Counters only: cache contents, the directory (which mirrors them)
   // and the bus clock survive, so post-warmup measurement starts from a
   // warm machine.
@@ -804,8 +788,8 @@ void PrivateL2HierarchyImpl<kUseDirectory, kMaxNodes>::ResetStats() {
   for (Cache& c : l2_) c.ResetCounters();
 }
 
-template <bool kUseDirectory, uint32_t kMaxNodes>
-double PrivateL2HierarchyImpl<kUseDirectory, kMaxNodes>::L1DHitRate() const {
+template <bool kUseDirectory>
+double PrivateL2HierarchyImpl<kUseDirectory>::L1DHitRate() const {
   uint64_t h = 0, m = 0;
   for (const Cache& c : l1d_) {
     h += c.hits();
@@ -814,8 +798,8 @@ double PrivateL2HierarchyImpl<kUseDirectory, kMaxNodes>::L1DHitRate() const {
   return (h + m) ? static_cast<double>(h) / static_cast<double>(h + m) : 0.0;
 }
 
-template <bool kUseDirectory, uint32_t kMaxNodes>
-double PrivateL2HierarchyImpl<kUseDirectory, kMaxNodes>::L1IHitRate() const {
+template <bool kUseDirectory>
+double PrivateL2HierarchyImpl<kUseDirectory>::L1IHitRate() const {
   uint64_t h = 0, m = 0;
   for (const Cache& c : l1i_) {
     h += c.hits();
@@ -824,8 +808,8 @@ double PrivateL2HierarchyImpl<kUseDirectory, kMaxNodes>::L1IHitRate() const {
   return (h + m) ? static_cast<double>(h) / static_cast<double>(h + m) : 0.0;
 }
 
-template <bool kUseDirectory, uint32_t kMaxNodes>
-double PrivateL2HierarchyImpl<kUseDirectory, kMaxNodes>::L2HitRate() const {
+template <bool kUseDirectory>
+double PrivateL2HierarchyImpl<kUseDirectory>::L2HitRate() const {
   uint64_t h = 0, m = 0;
   for (const Cache& c : l2_) {
     h += c.hits();
@@ -834,9 +818,9 @@ double PrivateL2HierarchyImpl<kUseDirectory, kMaxNodes>::L2HitRate() const {
   return (h + m) ? static_cast<double>(h) / static_cast<double>(h + m) : 0.0;
 }
 
-template <bool kUseDirectory, uint32_t kMaxNodes>
+template <bool kUseDirectory>
 std::string
-PrivateL2HierarchyImpl<kUseDirectory, kMaxNodes>::CheckDirectoryInvariants()
+PrivateL2HierarchyImpl<kUseDirectory>::CheckDirectoryInvariants()
     const {
   char buf[160];
   if constexpr (!kUseDirectory) {
@@ -849,8 +833,8 @@ PrivateL2HierarchyImpl<kUseDirectory, kMaxNodes>::CheckDirectoryInvariants()
   for (uint32_t n = 0; n < config_.num_cores && err.empty(); ++n) {
     l2_[n].ForEachValidLine([&](uint64_t line, LineState s) {
       if (!err.empty()) return;
-      const SmpDirEntryT<kMaxNodes>* e = l2_dir_.Find(line);
-      if (e == nullptr || !e->sharers.Test(n)) {
+      const DirEntry* e = l2_dir_.Find(line);
+      if (e == nullptr || !SharersOf(l2_dir_, *e).Test(n)) {
         std::snprintf(buf, sizeof(buf),
                       "L2[%u] holds line %#llx but directory has no sharer "
                       "bit for it",
@@ -869,16 +853,17 @@ PrivateL2HierarchyImpl<kUseDirectory, kMaxNodes>::CheckDirectoryInvariants()
   if (!err.empty()) return err;
   // Directory -> caches: no stale bits, no empty entries, and the dirty
   // owner really holds the line Modified.
-  l2_dir_.ForEach([&](uint64_t line, const SmpDirEntryT<kMaxNodes>& e) {
+  l2_dir_.ForEach([&](uint64_t line, const DirEntry& e) {
     if (!err.empty()) return;
-    if (e.sharers.None()) {
+    const ConstBitSpan sharers = SharersOf(l2_dir_, e);
+    if (sharers.None()) {
       std::snprintf(buf, sizeof(buf), "directory entry %#llx has no sharers",
                     static_cast<unsigned long long>(line));
       err = buf;
       return;
     }
     bool stale = false;
-    e.sharers.ForEachSetBit([&](uint32_t n) {
+    sharers.ForEachSetBit([&](uint32_t n) {
       if (stale || !err.empty()) return;
       if (n >= config_.num_cores ||
           l2_[n].GetState(line) == LineState::kInvalid) {
@@ -893,7 +878,7 @@ PrivateL2HierarchyImpl<kUseDirectory, kMaxNodes>::CheckDirectoryInvariants()
     if (stale || !err.empty()) return;
     if (e.dirty_owner >= 0) {
       const uint32_t o = static_cast<uint32_t>(e.dirty_owner);
-      if (!e.sharers.Test(o) ||
+      if (!sharers.Test(o) ||
           l2_[o].GetState(line) != LineState::kModified) {
         std::snprintf(buf, sizeof(buf),
                       "directory dirty_owner %u of line %#llx does not hold "

@@ -98,8 +98,8 @@ struct PerfSection {
 
 /// Writes the sweep-level perf summary (cells/sec, wall-clock, threads)
 /// as a small JSON object — the BENCH_sweep.json trajectory format —
-/// plus any caller-supplied extra sections (e.g. sweep_main's
-/// --smp-dir-probe measurement).
+/// plus any caller-supplied extra sections (e.g. sweep_main's metrics
+/// snapshot).
 void EmitPerfSummary(const SweepReport& report, std::ostream& os,
                      const std::vector<PerfSection>& extras = {});
 

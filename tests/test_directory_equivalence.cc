@@ -9,13 +9,15 @@
 // every HierarchyStats counter, every latency, every breakdown double —
 // on randomized 1M-event synthetic traces across the paper's fig8-style
 // core-count range, widened to the shootout grid (2..1024 nodes; past 64
-// the factory serves the BitSet<1024> wide directory):
+// the directory's sharer sets span several words):
 //
 //   * full replay-engine fingerprints (both camps, looped/warmup mode),
 //     where any bookkeeping drift compounds over millions of events;
 //   * a direct per-access drive with deliberately tiny caches, where the
 //     first diverging access fails with its index — eviction churn is the
-//     classic way a directory bitmap goes stale;
+//     classic way a directory bitmap goes stale — and the same lockstep
+//     drive over the 64-node coherence-churn stream micro_kernels times
+//     both arms on;
 //   * the `smokesmp` builtin grid on real engine traces, the directory
 //     arm replayed through RunExperiment exactly as a sweep replays it.
 //
@@ -28,6 +30,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "common/rng.h"
 #include "coresim/replay_core.h"
 #include "harness/experiment.h"
@@ -43,8 +46,8 @@ using memsim::HierarchyConfig;
 using memsim::HierarchyStats;
 
 // The fig8-style core-count axis, extended to the shootout grid's wide
-// machines: 64 is the single-word sharers width, 256/1024 exercise the
-// BitSet<1024> directory against the width-independent snoop arm.
+// machines: 64 is the widest one-word sharer set, 256/1024 exercise 4-
+// and 16-word sets against the width-independent snoop arm.
 constexpr uint32_t kCoreCounts[] = {2, 8, 16, 64, 256, 1024};
 
 // Sanitizer builds run the same node axis (the wide-directory paths are
@@ -67,12 +70,9 @@ HierarchyConfig SmpConfig(uint32_t cores, uint64_t l2_bytes) {
 }
 
 template <class H>
-constexpr bool kIsDirectoryArm =
-    std::is_same_v<H, memsim::PrivateL2Hierarchy> ||
-    std::is_same_v<H, memsim::PrivateL2HierarchyWide>;
+constexpr bool kIsDirectoryArm = std::is_same_v<H, memsim::PrivateL2Hierarchy>;
 
-/// Directory arm via the factory, so each core count gets the same
-/// instantiation (narrow or wide) a real experiment would run.
+/// Directory arm via the factory, exactly as a real experiment builds it.
 std::unique_ptr<memsim::MemoryHierarchy> MakeDir(const HierarchyConfig& hc) {
   auto h = memsim::MakeSmpHierarchy(hc);
   // Guard against the factory serving anything but a directory arm
@@ -193,45 +193,40 @@ TEST_P(DirectoryEquivalenceTest, LoopedReplayBitIdentical) {
 // Direct drive: per-access lockstep with tiny caches (eviction churn).
 // ---------------------------------------------------------------------------
 
-TEST_P(DirectoryEquivalenceTest, DirectDriveLockstepUnderEvictionChurn) {
-  const uint32_t cores = GetParam();
-  HierarchyConfig hc = SmpConfig(cores, 32 * 1024);
-  hc.l1i = memsim::CacheConfig{2 * 1024, 2, 64};
-  hc.l1d = memsim::CacheConfig{2 * 1024, 2, 64};
+/// One access of a lockstep drive.
+struct DriveAccess {
+  uint32_t node;
+  uint64_t addr;
+  bool instr;
+  bool is_write;
+};
+
+/// Drives a directory arm (from the factory) and the snoop arm over `hc`
+/// with the same `steps` accesses from `next()`, failing at the first
+/// access whose result differs; then compares every counter and checks
+/// both arms' directories.
+template <class Next>
+void LockstepDrive(const HierarchyConfig& hc, size_t steps, Next&& next) {
   auto dirp = MakeDir(hc);
   memsim::MemoryHierarchy& dir = *dirp;
   memsim::PrivateL2SnoopHierarchy sno(hc);
-
-  Rng rng(1234 + cores);
   uint64_t now = 0;
-  // Scale the drive down as the snoop arm's O(cores) probes per miss
-  // scale up, so the widest machines stay CI-sized.
-  const size_t steps =
-      1'000'000 / kSanScale / (cores >= 256 ? 16 : cores >= 16 ? 4 : 1);
   for (size_t i = 0; i < steps; ++i) {
-    const uint32_t node = static_cast<uint32_t>(rng.Next() % cores);
-    const bool instr = (rng.Next() % 8) == 0;
-    const bool is_write = !instr && (rng.Next() % 5) == 0;
-    // Shared hot region (coherence) vs per-node region (capacity churn),
-    // both far larger than the 32KB L2s.
-    const uint64_t addr =
-        (rng.Next() & 1)
-            ? 0x100000 + (rng.Next() % (256ull << 10))
-            : 0x4000000 + node * (1ull << 24) + (rng.Next() % (128ull << 10));
+    const DriveAccess x = next();
     AccessResult a, b;
-    if (instr) {
-      a = dir.AccessInstr(node, addr, now);
-      b = sno.AccessInstr(node, addr, now);
+    if (x.instr) {
+      a = dir.AccessInstr(x.node, x.addr, now);
+      b = sno.AccessInstr(x.node, x.addr, now);
     } else {
-      a = dir.AccessData(node, addr, is_write, now);
-      b = sno.AccessData(node, addr, is_write, now);
+      a = dir.AccessData(x.node, x.addr, x.is_write, now);
+      b = sno.AccessData(x.node, x.addr, x.is_write, now);
     }
     ++now;
     if (a.cls != b.cls || a.latency != b.latency ||
         a.queue_delay != b.queue_delay) {
-      FAIL() << "arms diverged at access " << i << " (node " << node
-             << ", addr " << std::hex << addr << std::dec
-             << (instr ? ", instr" : is_write ? ", write" : ", read")
+      FAIL() << "arms diverged at access " << i << " (node " << x.node
+             << ", addr " << std::hex << x.addr << std::dec
+             << (x.instr ? ", instr" : x.is_write ? ", write" : ", read")
              << "): directory {cls="
              << memsim::AccessClassName(a.cls) << ", lat=" << a.latency
              << "} vs snoop {cls=" << memsim::AccessClassName(b.cls)
@@ -243,8 +238,46 @@ TEST_P(DirectoryEquivalenceTest, DirectDriveLockstepUnderEvictionChurn) {
   EXPECT_EQ(sno.CheckDirectoryInvariants(), "");  // snoop arm: dir empty
 }
 
+TEST_P(DirectoryEquivalenceTest, DirectDriveLockstepUnderEvictionChurn) {
+  const uint32_t cores = GetParam();
+  HierarchyConfig hc = SmpConfig(cores, 32 * 1024);
+  hc.l1i = memsim::CacheConfig{2 * 1024, 2, 64};
+  hc.l1d = memsim::CacheConfig{2 * 1024, 2, 64};
+  Rng rng(1234 + cores);
+  // Scale the drive down as the snoop arm's O(cores) probes per miss
+  // scale up, so the widest machines stay CI-sized.
+  const size_t steps =
+      1'000'000 / kSanScale / (cores >= 256 ? 16 : cores >= 16 ? 4 : 1);
+  LockstepDrive(hc, steps, [&] {
+    DriveAccess x;
+    x.node = static_cast<uint32_t>(rng.Next() % cores);
+    x.instr = (rng.Next() % 8) == 0;
+    x.is_write = !x.instr && (rng.Next() % 5) == 0;
+    // Shared hot region (coherence) vs per-node region (capacity churn),
+    // both far larger than the 32KB L2s.
+    x.addr = (rng.Next() & 1)
+                 ? 0x100000 + (rng.Next() % (256ull << 10))
+                 : 0x4000000 + x.node * (1ull << 24) +
+                       (rng.Next() % (128ull << 10));
+    return x;
+  });
+}
+
 INSTANTIATE_TEST_SUITE_P(CoreCounts, DirectoryEquivalenceTest,
                          ::testing::ValuesIn(kCoreCounts));
+
+// The 64-node coherence-churn stream micro_kernels' BM_SmpSnoopChurn and
+// BM_SmpDirectoryChurn time (benchutil::SmpChurnStream, 1MB private L2s):
+// the two arms must agree on it access for access, so that benchmark pair
+// compares the cost of identical work.
+TEST(SmpChurnStreamTest, DirectoryMatchesSnoopInLockstep) {
+  benchutil::SmpChurnStream stream;
+  LockstepDrive(benchutil::SmpChurnStream::Config(), 2'000'000 / kSanScale,
+                [&] {
+                  const benchutil::SmpChurnStream::Access a = stream.Next();
+                  return DriveAccess{a.node, a.addr, false, a.is_write};
+                });
+}
 
 // ---------------------------------------------------------------------------
 // The smokesmp grid: real engine traces through the production sweep path.

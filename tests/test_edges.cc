@@ -1,6 +1,8 @@
-// Edge-case and death tests for thin seams: Status error propagation
+// Edge-case tests for thin seams: Status error propagation
 // through module-boundary validation APIs, and the transaction abort path.
 #include <gtest/gtest.h>
+
+#include <stdexcept>
 
 #include "common/arena.h"
 #include "common/status.h"
@@ -109,13 +111,16 @@ TEST(StatusEdgeTest, BptreeInvariantsHoldAfterMixedInserts) {
   EXPECT_TRUE(s.ok()) << s.ToString();
 }
 
-#ifndef NDEBUG
-// Construction from an unvalidated config is a programming error the
-// constructor refuses (assert); callers must Validate first.
-TEST(StatusDeathTest, CacheConstructorRejectsInvalidGeometry) {
-  EXPECT_DEATH(memsim::Cache(memsim::CacheConfig{64 * 1024, 0, 64}), "");
+// The constructor refuses what Validate rejects, in every build type: a
+// non-power-of-two set count (26 MB at 8 ways has 53,248 sets) would
+// otherwise be masked down to a fraction of the array.
+TEST(StatusEdgeTest, CacheConstructorRejectsInvalidGeometry) {
+  EXPECT_THROW(memsim::Cache(memsim::CacheConfig{64 * 1024, 0, 64}),
+               std::invalid_argument);
+  EXPECT_THROW(memsim::Cache(memsim::CacheConfig{26ull << 20, 8, 64}),
+               std::invalid_argument);
+  EXPECT_NO_THROW(memsim::Cache(memsim::CacheConfig{26ull << 20, 13, 64}));
 }
-#endif
 
 // --- Transaction abort paths ----------------------------------------------
 

@@ -1,7 +1,8 @@
-// Unit suite for the open-addressed FlatMap64 backing the CMP L1
-// directory: point operations, growth rehash, backward-shift erase under
-// forced collision clusters, and a randomized oracle comparison against
-// std::unordered_map under heavy churn.
+// Unit suite for the open-addressed FlatMap64 backing both coherence
+// directories: point operations, growth rehash, backward-shift erase
+// under forced collision clusters, and a randomized oracle comparison
+// against std::unordered_map under heavy churn, with and without
+// per-slot words.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -146,10 +147,21 @@ TEST(FlatMap64Test, GrowthRehashKeepsEverything) {
 }
 
 // Directory-churn oracle: random insert/mutate/erase mix mirrored into a
-// std::unordered_map; contents must agree at every step boundary.
-TEST(FlatMap64Test, RandomChurnMatchesUnorderedMapOracle) {
-  FlatMap64<DirValue> m;
-  std::unordered_map<uint64_t, DirValue> oracle;
+// std::unordered_map; contents must agree at every step boundary. With
+// `stride` per-slot words, each entry's words ride along in the oracle
+// too: they must start zeroed and survive every erase shift and rehash.
+void ChurnAgainstUnorderedMap(uint32_t stride) {
+  struct OracleEntry {
+    DirValue v;
+    std::vector<uint64_t> words;
+  };
+  FlatMap64<DirValue> m(64, stride);
+  ASSERT_EQ(m.words_per_slot(), stride);
+  std::unordered_map<uint64_t, OracleEntry> oracle;
+  auto words_of = [&](const DirValue& v) {
+    const uint64_t* w = m.Words(v);
+    return std::vector<uint64_t>(w, w + stride);
+  };
   Rng rng(123);
   // Narrow key space forces constant collide/erase/reinsert traffic.
   constexpr uint64_t kKeySpace = 4096;
@@ -159,10 +171,15 @@ TEST(FlatMap64Test, RandomChurnMatchesUnorderedMapOracle) {
       case 0:
       case 1: {  // upsert
         DirValue& v = m.FindOrInsert(key);
-        DirValue& ov = oracle[key];
-        EXPECT_EQ(v, ov);
-        v.sharers = ov.sharers = static_cast<uint32_t>(rng.Next());
-        v.dirty_owner = ov.dirty_owner = static_cast<int8_t>(rng.Next() % 8);
+        auto [it, fresh] = oracle.try_emplace(key);
+        OracleEntry& ov = it->second;
+        if (fresh) ov.words.assign(stride, 0);
+        EXPECT_EQ(v, ov.v);
+        EXPECT_EQ(words_of(v), ov.words);
+        v.sharers = ov.v.sharers = static_cast<uint32_t>(rng.Next());
+        v.dirty_owner = ov.v.dirty_owner = static_cast<int8_t>(rng.Next() % 8);
+        uint64_t* w = m.Words(v);
+        for (uint32_t k = 0; k < stride; ++k) w[k] = ov.words[k] = rng.Next();
         break;
       }
       case 2: {  // lookup
@@ -170,7 +187,8 @@ TEST(FlatMap64Test, RandomChurnMatchesUnorderedMapOracle) {
         auto it = oracle.find(key);
         ASSERT_EQ(v != nullptr, it != oracle.end());
         if (v != nullptr) {
-          EXPECT_EQ(*v, it->second);
+          EXPECT_EQ(*v, it->second.v);
+          EXPECT_EQ(words_of(*v), it->second.words);
         }
         break;
       }
@@ -182,16 +200,27 @@ TEST(FlatMap64Test, RandomChurnMatchesUnorderedMapOracle) {
     ASSERT_EQ(m.size(), oracle.size());
   }
   // Final full sweep both directions.
-  for (const auto& [k, v] : oracle) {
+  for (const auto& [k, ov] : oracle) {
     auto* got = m.Find(k);
     ASSERT_NE(got, nullptr);
-    EXPECT_EQ(*got, v);
+    EXPECT_EQ(*got, ov.v);
+    EXPECT_EQ(words_of(*got), ov.words);
   }
   m.ForEach([&](uint64_t k, const DirValue& v) {
     auto it = oracle.find(k);
     ASSERT_NE(it, oracle.end());
-    EXPECT_EQ(v, it->second);
+    EXPECT_EQ(v, it->second.v);
+    EXPECT_EQ(words_of(v), it->second.words);
   });
+}
+
+TEST(FlatMap64Test, RandomChurnMatchesUnorderedMapOracle) {
+  ChurnAgainstUnorderedMap(0);
+}
+// One word is the <= 64-node sharer set, three an odd multi-word stride.
+TEST(FlatMap64Test, RandomChurnWithSlotWordsMatchesOracle) {
+  ChurnAgainstUnorderedMap(1);
+  ChurnAgainstUnorderedMap(3);
 }
 
 }  // namespace

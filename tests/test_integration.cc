@@ -146,12 +146,12 @@ TEST_F(IntegrationTest, DeterministicEndToEnd) {
   EXPECT_EQ(a.instructions, b.instructions);
 }
 
-// Node counts outside [1, kWideMaxNodes] are rejected with an exception
+// Node counts outside [1, kMaxNodes] are rejected with an exception
 // naming the limit, before any hierarchy is built (whose constructor
 // would otherwise abort the process).
 TEST_F(IntegrationTest, OutOfRangeNodeCountThrows) {
   const TraceSet empty;
-  for (uint32_t cores : {0u, memsim::kWideMaxNodes + 1}) {
+  for (uint32_t cores : {0u, memsim::kMaxNodes + 1}) {
     ExperimentConfig ec = SmallConfig();
     ec.cores = cores;
     EXPECT_THROW(MakeHierarchyConfig(ec), std::invalid_argument) << cores;
@@ -168,8 +168,44 @@ TEST_F(IntegrationTest, OutOfRangeNodeCountThrows) {
     }
   }
   ExperimentConfig widest = SmallConfig();
-  widest.cores = memsim::kWideMaxNodes;
-  EXPECT_EQ(MakeHierarchyConfig(widest).num_cores, memsim::kWideMaxNodes);
+  widest.cores = memsim::kMaxNodes;
+  EXPECT_EQ(MakeHierarchyConfig(widest).num_cores, memsim::kMaxNodes);
+
+  // A saturated run with no measurement budget would loop forever.
+  ExperimentConfig endless = SmallConfig();
+  endless.saturated = true;
+  endless.measure_instructions = 0;
+  EXPECT_THROW(MakeSimConfig(endless, empty), std::invalid_argument);
+  EXPECT_THROW(RunExperiment(endless, empty), std::invalid_argument);
+  endless.saturated = false;  // a one-pass run needs no budget
+  EXPECT_NO_THROW(MakeSimConfig(endless, empty));
+
+  // An L2 size no geometry of 8..64 ways and a power-of-two set count
+  // holds.
+  ExperimentConfig odd = SmallConfig();
+  odd.l2_bytes = (26ull << 20) + 64;
+  EXPECT_THROW(MakeHierarchyConfig(odd), std::invalid_argument);
+}
+
+// The 26 MB L2 (the ExperimentConfig default and the paper's largest)
+// has 53,248 sets at 8 ways, not a power of two. Its harness geometry
+// widens the ways instead, so every one of its 425,984 lines can be
+// resident; a set index masked to 16,384 sets held only 131,072.
+TEST_F(IntegrationTest, TwentySixMegabyteL2HoldsEveryLine) {
+  ExperimentConfig ec = SmallConfig();
+  ec.l2_bytes = 26ull << 20;
+  const memsim::HierarchyConfig hc = MakeHierarchyConfig(ec);
+  EXPECT_EQ(hc.l2.size_bytes, 26ull << 20);
+  EXPECT_EQ(hc.l2.associativity, 13u);
+  EXPECT_EQ(hc.l2.num_sets(), 32768u);
+  memsim::Cache l2(hc.l2);
+  constexpr uint64_t kLines = (26ull << 20) / 64;
+  for (uint64_t line = 0; line < kLines; ++line) l2.Fill(line, false);
+  EXPECT_EQ(l2.CountValid(), kLines);
+  EXPECT_EQ(l2.evictions(), 0u);
+  // Power-of-two sizes keep the historical 8 ways.
+  ec.l2_bytes = 16ull << 20;
+  EXPECT_EQ(MakeHierarchyConfig(ec).l2.associativity, 8u);
 }
 
 TEST_F(IntegrationTest, StagedEngineTracesBuild) {

@@ -30,8 +30,13 @@ HierarchyConfig TinyConfig(uint32_t cores) {
   return h;
 }
 
-const SmpDirEntry* Entry(const PrivateL2Hierarchy& h, uint64_t addr) {
+const DirEntry* Entry(const PrivateL2Hierarchy& h, uint64_t addr) {
   return h.directory().Find(addr >> 6);  // 64B lines
+}
+
+/// The low sharer word of `e`, an entry of `h`'s directory.
+uint64_t SharerWord0(const PrivateL2Hierarchy& h, const DirEntry* e) {
+  return SharersOf(h.directory(), *e).word(0);
 }
 
 TEST(SmpDirectoryTest, TracksWriteReadAndUpgradeTransitions) {
@@ -40,30 +45,30 @@ TEST(SmpDirectoryTest, TracksWriteReadAndUpgradeTransitions) {
 
   // Node 0 writes: sole sharer, dirty owner.
   h.AccessData(0, addr, true, 0);
-  const SmpDirEntry* e = Entry(h, addr);
+  const DirEntry* e = Entry(h, addr);
   ASSERT_NE(e, nullptr);
-  EXPECT_EQ(e->sharers.word(0), 0b1u);
+  EXPECT_EQ(SharerWord0(h, e), 0b1u);
   EXPECT_EQ(e->dirty_owner, 0);
 
   // Node 1 reads: dirty owner downgraded, both share.
   EXPECT_EQ(h.AccessData(1, addr, false, 10).cls, AccessClass::kCoherence);
   e = Entry(h, addr);
   ASSERT_NE(e, nullptr);
-  EXPECT_EQ(e->sharers.word(0), 0b11u);
+  EXPECT_EQ(SharerWord0(h, e), 0b11u);
   EXPECT_EQ(e->dirty_owner, -1);
 
   // Node 2 reads the now-clean line: three sharers, still no owner.
   EXPECT_EQ(h.AccessData(2, addr, false, 20).cls, AccessClass::kOffChip);
   e = Entry(h, addr);
   ASSERT_NE(e, nullptr);
-  EXPECT_EQ(e->sharers.word(0), 0b111u);
+  EXPECT_EQ(SharerWord0(h, e), 0b111u);
   EXPECT_EQ(e->dirty_owner, -1);
 
   // Node 1 upgrades (write to Shared): peers invalidated, sole owner.
   EXPECT_EQ(h.AccessData(1, addr, true, 30).cls, AccessClass::kCoherence);
   e = Entry(h, addr);
   ASSERT_NE(e, nullptr);
-  EXPECT_EQ(e->sharers.word(0), 0b10u);
+  EXPECT_EQ(SharerWord0(h, e), 0b10u);
   EXPECT_EQ(e->dirty_owner, 1);
 
   EXPECT_EQ(h.CheckDirectoryInvariants(), "");
@@ -74,9 +79,9 @@ TEST(SmpDirectoryTest, ExclusiveStaysCleanUntilTheL2CopyIsWritten) {
   PrivateL2Hierarchy h(cfg);
   const uint64_t addr = 0x9000;
   h.AccessData(3, addr, false, 0);  // fills Exclusive (no remote holder)
-  const SmpDirEntry* e = Entry(h, addr);
+  const DirEntry* e = Entry(h, addr);
   ASSERT_NE(e, nullptr);
-  EXPECT_EQ(e->sharers.word(0), 0b1000u);
+  EXPECT_EQ(SharerWord0(h, e), 0b1000u);
   EXPECT_EQ(e->dirty_owner, -1);  // Exclusive is clean
 
   // A write now hits the L1 copy (Exclusive is writable): the L1 goes
@@ -125,9 +130,9 @@ TEST(SmpDirectoryTest, EvictionClearsSharerBitAndErasesEmptyEntries) {
   h.AccessData(0, base + 1 * set_stride, false, 4);  // refresh LRU at node 0
   h.AccessData(0, base + 3 * set_stride, false, 5);  // evicts 2*stride
   h.AccessData(0, base + 4 * set_stride, false, 6);  // evicts 1*stride @node0
-  const SmpDirEntry* e = Entry(h, base + 1 * set_stride);
+  const DirEntry* e = Entry(h, base + 1 * set_stride);
   ASSERT_NE(e, nullptr);
-  EXPECT_EQ(e->sharers.word(0), 0b10u);  // node 1 still holds it
+  EXPECT_EQ(SharerWord0(h, e), 0b10u);  // node 1 still holds it
   EXPECT_EQ(h.CheckDirectoryInvariants(), "");
 }
 
@@ -139,24 +144,26 @@ bool VisitsAs(MemoryHierarchy& h) {
   });
 }
 
-// Factory width routing: up to 64 nodes uses the single-word directory
-// (the instantiation whose hot path compiles to the historical scalar
-// masks), 65..1024 the BitSet<1024> wide directory; past the wide cap
-// both factories abort with the constructor's message.
-TEST(SmpDirectoryTest, FactoryRoutesWidthsAndAbortsPast1024Nodes) {
+// One type per topology at every width: both factories build the same
+// concrete type at 64 nodes (a one-word sharer set) and past it, the SMP
+// directory sized to ceil(n / 64) sharer words; past 1024 nodes both
+// factories abort with the constructor's message.
+TEST(SmpDirectoryTest, FactoriesBuildOneTypeAtEveryWidthAndAbortPast1024) {
   HierarchyConfig cfg = TinyConfig(64);
-  auto at_cap = MakeSmpHierarchy(cfg);
-  EXPECT_TRUE(VisitsAs<PrivateL2Hierarchy>(*at_cap));
-  EXPECT_TRUE(VisitsAs<SharedL2Hierarchy>(*MakeCmpHierarchy(cfg)));
-  for (uint32_t n : {65u, 256u, 1024u}) {
+  for (uint32_t n : {64u, 65u, 96u, 256u, 1024u}) {
     cfg.num_cores = n;
-    auto wide = MakeSmpHierarchy(cfg);
-    EXPECT_TRUE(VisitsAs<PrivateL2HierarchyWide>(*wide)) << n << " nodes";
-    EXPECT_TRUE(VisitsAs<SharedL2HierarchyWide>(*MakeCmpHierarchy(cfg)))
+    auto smp = MakeSmpHierarchy(cfg);
+    ASSERT_TRUE(VisitsAs<PrivateL2Hierarchy>(*smp)) << n << " nodes";
+    EXPECT_TRUE(VisitsAs<SharedL2Hierarchy>(*MakeCmpHierarchy(cfg)))
         << n << " nodes";
-    // The wide directory simulates correctly with a top-node sharer.
-    wide->AccessData(n - 1, 0x6000, true, 0);
-    EXPECT_EQ(wide->AccessData(0, 0x6000, false, 10).cls,
+    EXPECT_EQ(static_cast<PrivateL2Hierarchy&>(*smp)
+                  .directory()
+                  .words_per_slot(),
+              (n + 63) / 64)
+        << n << " nodes";
+    // The top node's sharer bit, in the last word, drives coherence.
+    smp->AccessData(n - 1, 0x6000, true, 0);
+    EXPECT_EQ(smp->AccessData(0, 0x6000, false, 10).cls,
               AccessClass::kCoherence)
         << n << " nodes";
   }
@@ -180,7 +187,8 @@ TEST(SmpDirectoryTest, VisitorAbortsOnSnoopReferenceArm) {
 // Randomized churn: tiny L2s, a footprint ~30x the cache, mixed
 // read/write/instruction traffic from every node, oracle-checked
 // periodically. A single missed eviction/invalidation notification shows
-// up here as a stale sharer bit.
+// up here as a stale sharer bit. 96 nodes spans two sharer words, so the
+// upper word's set/clear/walk paths face the same eviction storm.
 class SmpDirectoryChurnTest : public ::testing::TestWithParam<uint32_t> {};
 
 TEST_P(SmpDirectoryChurnTest, OracleCleanUnderEvictionChurn) {
@@ -214,34 +222,7 @@ TEST_P(SmpDirectoryChurnTest, OracleCleanUnderEvictionChurn) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Nodes, SmpDirectoryChurnTest,
-                         ::testing::Values(2u, 4u, 8u, 64u));
-
-// Same oracle churn on the wide (BitSet<1024>) directory with a node
-// count past the single-word cap, so multi-word sharer bookkeeping — the
-// upper words' set/clear/walk paths — faces the same eviction storm.
-TEST(SmpDirectoryWideChurnTest, OracleCleanUnderEvictionChurn) {
-  const uint32_t cores = 96;  // bits span two 64-bit words
-  PrivateL2HierarchyWide h(TinyConfig(cores));
-  Rng rng(7 * cores + 1);
-  uint64_t now = 0;
-  for (int step = 0; step < 120'000; ++step) {
-    const uint32_t node = static_cast<uint32_t>(rng.Next() % cores);
-    const uint64_t addr = 0x10000 + (rng.Next() % 4096) * 64;
-    const uint32_t kind = static_cast<uint32_t>(rng.Next() % 10);
-    if (kind == 0) {
-      h.AccessInstr(node, addr, now);
-    } else {
-      h.AccessData(node, addr, kind < 4, now);
-    }
-    ++now;
-    if (step % 5000 == 4999) {
-      ASSERT_EQ(h.CheckDirectoryInvariants(), "") << "after step " << step;
-    }
-  }
-  ASSERT_EQ(h.CheckDirectoryInvariants(), "");
-  EXPECT_GT(h.stats().invalidations, 0u);
-  EXPECT_GT(h.stats().writebacks, 0u);
-}
+                         ::testing::Values(2u, 4u, 8u, 64u, 96u));
 
 }  // namespace
 }  // namespace stagedcmp::memsim
