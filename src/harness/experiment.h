@@ -62,34 +62,17 @@ struct TraceSet {
   /// in the mapping; `backing` pins that mapping (type-erased so the
   /// harness layer stays independent of the sweep's bundle machinery).
   /// Destroying the last TraceSet sharing a mapping unmaps it. Empty for
-  /// owning (cold-built or fread-loaded) sets.
+  /// cold-built sets, which own their events.
   std::shared_ptr<void> backing;
 
-  /// Per-client trace pointers in client order. Cached: rebuilding the
-  /// vector on every RunExperiment call was a measurable allocation when
-  /// one shared TraceSet feeds many sweep cells. The cache keys on
-  /// (traces.data(), traces.size()), so it survives moves (vector moves
-  /// keep the heap buffer) and self-invalidates when traces are added or
-  /// the buffer reallocates.
-  ///
-  /// Thread-safety: the first call populates the cache and must not race
-  /// with other calls; WorkloadFactory::Build and the sweep TraceSetCache
-  /// warm it before a TraceSet is shared, after which concurrent calls
-  /// are pure reads.
-  const std::vector<const trace::ClientTrace*>& Pointers() const {
-    if (pointer_cache_key_ != traces.data() ||
-        pointer_cache_.size() != traces.size()) {
-      pointer_cache_.clear();
-      pointer_cache_.reserve(traces.size());
-      for (const auto& t : traces) pointer_cache_.push_back(&t);
-      pointer_cache_key_ = traces.data();
-    }
-    return pointer_cache_;
+  /// Per-client trace pointers in client order, built fresh on every
+  /// call (RunExperiment moves the vector into the simulator).
+  std::vector<const trace::ClientTrace*> Pointers() const {
+    std::vector<const trace::ClientTrace*> out;
+    out.reserve(traces.size());
+    for (const trace::ClientTrace& t : traces) out.push_back(&t);
+    return out;
   }
-
- private:
-  mutable std::vector<const trace::ClientTrace*> pointer_cache_;
-  mutable const trace::ClientTrace* pointer_cache_key_ = nullptr;
 };
 
 /// Generates trace sets on demand. Each Build() call runs inside a fresh,

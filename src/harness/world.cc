@@ -116,9 +116,6 @@ TraceSet WorkloadWorld::Build(const TraceSetConfig& config) {
     out.total_instructions += out.traces.back().total_instructions;
     out.total_events += out.traces.back().events.size();
   }
-  // Warm the pointer cache so a shared (immutable) set never populates it
-  // lazily from concurrent replay threads.
-  out.Pointers();
   return out;
 }
 

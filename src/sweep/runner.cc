@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/json.h"
 #include "common/threadpool.h"
 #include "sweep/trace_bundle.h"
 #include "sweep/trace_cache.h"
@@ -157,43 +158,24 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
   }
 
   // Trace bundle: try to serve the whole build sequence from disk. The
-  // mmap transport returns view-based sets after header validation only
+  // open returns view-based sets after header validation only
   // (microseconds); their payload checksums are verified lazily below,
-  // on the build pool, overlapped with simulation. The fread transport
-  // returns fully-verified owning sets, inserted here.
+  // on the build pool, overlapped with simulation.
   BundleOpenResult bundle_open;
-  std::vector<char> lazy_verify(distinct.size(), 0);
   std::atomic<bool> demoted{false};
   if (!options_.trace_bundle.empty() && !cells.empty()) {
     const auto load_t0 = std::chrono::steady_clock::now();
     TraceSpan load_span(tracer, "io", "bundle.load");
-    bundle_open =
-        OpenTraceBundle(options_.trace_bundle, *factory_, distinct, &needed,
-                        options_.bundle_mode == "fread");
-    report.bundle_mode = bundle_open.mode;
-    if (bundle_open.mode == "mmap") {
-      report.bundle = "warm";
-      report.bundle_bytes_mapped = bundle_open.bytes_mapped;
-      report.bundle_map_us = bundle_open.map_us;
-      for (size_t j = 0; j < distinct.size(); ++j) {
-        if (needed[j]) lazy_verify[j] = 1;
-      }
-    } else if (bundle_open.mode == "fread") {
-      report.bundle = "warm";
-      for (size_t j = 0; j < distinct.size(); ++j) {
-        if (needed[j]) cache.Insert(std::move(bundle_open.sets[j]));
-      }
-    } else {
-      report.bundle = "cold";
-    }
+    bundle_open = OpenTraceBundle(options_.trace_bundle, *factory_, distinct);
+    report.bundle = bundle_open.mode == "mmap" ? "warm" : "cold";
     if (options_.metrics != nullptr) {
       options_.metrics->gauge("bundle.map_us")
-          .Set(static_cast<int64_t>(report.bundle_map_us));
+          .Set(static_cast<int64_t>(bundle_open.map_us));
       options_.metrics->gauge("bundle.bytes_mapped")
-          .Set(static_cast<int64_t>(report.bundle_bytes_mapped));
+          .Set(static_cast<int64_t>(bundle_open.bytes_mapped));
     }
-    load_span.set_args("{\"result\": \"" + report.bundle +
-                       "\", \"mode\": \"" + report.bundle_mode + "\"}");
+    load_span.set_args("{\"result\": " + JsonQuote(report.bundle) +
+                       ", \"mode\": " + JsonQuote(bundle_open.mode) + "}");
     load_span.End();
     report.load_wall_seconds = SecondsSince(load_t0);
   }
@@ -237,7 +219,7 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
     TraceSpan build_span(tracer, "build", "build:" + cfg_labels[j]);
     try {
       const harness::TraceSet* ts = nullptr;
-      if (lazy_verify[j]) {
+      if (!bundle_open.sets.empty()) {
         // Mapped set: pay the payload-checksum pass here, overlapped
         // with other builds and with simulation. A mismatch demotes
         // exactly this set to a cold rebuild; the run is then "partial"
@@ -299,7 +281,7 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
         // Cell spans ARE deterministic: every cell replays exactly once
         // at its canonical index, whatever claims it.
         TraceSpan cell_span(tracer, "sim", "cell:" + std::to_string(i),
-                            "{\"cfg\": \"" + cfg_labels[j] + "\"}");
+                            "{\"cfg\": " + JsonQuote(cfg_labels[j]) + "}");
         CellResult& out = report.cells[i];
         out.cell = cells[i];
         out.trace_total_instructions = built_sets[j]->total_instructions;

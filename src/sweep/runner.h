@@ -48,14 +48,11 @@ struct RunnerOptions {
   /// Optional trace-bundle file (see trace_bundle.h). When set, the run
   /// serves its trace sets from this file if it matches the sweep's
   /// canonical build sequence (warm: no generation at all) and rewrites
-  /// it after a cold build. The default transport maps the file and
-  /// replays events in place (payload checksums verified lazily on the
-  /// build pool); map failure demotes to the owning fread path and any
-  /// mismatch to a cold rebuild. Empty = no persistence.
+  /// it after a cold build. The file is mapped and its events replayed
+  /// in place (payload checksums verified lazily on the build pool); a
+  /// file that cannot be mapped or does not match rebuilds cold. Empty =
+  /// no persistence.
   std::string trace_bundle;
-  /// Bundle transport override: "auto" (mmap, demoting to fread) or
-  /// "fread" (skip the mmap attempt — measurement and fallback testing).
-  std::string bundle_mode = "auto";
   /// Shard selection: when shard_count > 1, the runner expands the FULL
   /// spec (so canonical indices and the bundle's build sequence are
   /// unchanged) but simulates only cells with
@@ -104,12 +101,6 @@ struct SweepReport {
   /// "partial" (mapped sets served but at least one failed its lazy
   /// payload verification and was rebuilt cold; the bundle is rewritten).
   std::string bundle = "off";
-  /// Transport that served the bundle: "off", "cold" (nothing served),
-  /// "fread" (owning copies, eagerly verified), "mmap" (zero-copy views
-  /// into the mapping, lazily verified).
-  std::string bundle_mode = "off";
-  uint64_t bundle_bytes_mapped = 0;  ///< mmap: whole-file mapping size
-  uint64_t bundle_map_us = 0;        ///< mmap: open+validate wall time
   /// Echo of RunnerOptions shard selection (0/0 when unsharded).
   uint32_t shard_index = 0;
   uint32_t shard_count = 0;

@@ -247,7 +247,7 @@ void TableSink::Emit(const SweepReport& report, std::ostream& os) const {
           m.FindGauge("build_pool.queue_depth");
       std::snprintf(
           buf, sizeof(buf),
-          "cache %llu hits / %llu misses / %llu rendezvous / %llu evicted"
+          "cache %llu hits / %llu misses / %llu rendezvous"
           " | build pool %llu tasks (peak queue %lld)"
           " | replay %llu events\n",
           static_cast<unsigned long long>(m.CounterOr("trace_cache.hits", 0)),
@@ -255,8 +255,6 @@ void TableSink::Emit(const SweepReport& report, std::ostream& os) const {
               m.CounterOr("trace_cache.misses", 0)),
           static_cast<unsigned long long>(
               m.CounterOr("trace_cache.rendezvous_waits", 0)),
-          static_cast<unsigned long long>(
-              m.CounterOr("trace_cache.evictions", 0)),
           static_cast<unsigned long long>(
               m.CounterOr("build_pool.tasks_executed", 0)),
           static_cast<long long>(q != nullptr ? q->peak : 0),
@@ -432,9 +430,6 @@ void EmitPerfSummary(const SweepReport& report, std::ostream& os,
   o.Int("threads", report.threads);
   o.Int("cells", report.cells_simulated());
   o.Str("trace_bundle", report.bundle);
-  // Transport that served the bundle (off/cold/fread/mmap) — the knob
-  // the warm_mmap section below and the check.sh fallback passes key on.
-  o.Str("bundle_mode", report.bundle_mode);
   o.Int("trace_sets_built", report.trace_sets_built);
   // Per-phase wall clocks. bundle_load is serial; trace building overlaps
   // the sim pipeline (builder thread + workers), so build/sim are not
@@ -467,20 +462,6 @@ void EmitPerfSummary(const SweepReport& report, std::ostream& os,
     }
     cells << "\n" << JsonObj::Pad(2) << "]";
     o.Field("cells_detail", cells.str());
-  }
-  // Zero-copy trajectory point: bundle_load_seconds is the eager
-  // header-validate cost of the mapping (µs-scale, vs the old full-file
-  // fread+checksum), gated by scripts/check.sh alongside cells_per_second.
-  if (report.bundle_mode == "mmap") {
-    std::ostringstream sub;
-    JsonObj w(sub, 2);
-    w.Num("bundle_load_seconds", report.load_wall_seconds);
-    w.Int("map_us", report.bundle_map_us);
-    w.Int("bytes_mapped", report.bundle_bytes_mapped);
-    w.Num("cells_per_second", report.cells_per_second());
-    w.Num("events_per_second", report.events_per_second());
-    w.Close();
-    o.Field("warm_mmap", sub.str());
   }
   for (const PerfSection& e : extras) o.Field(e.key, e.raw_json);
   o.Close();

@@ -16,10 +16,6 @@
 
 namespace stagedcmp::sweep {
 
-namespace bundle_testing {
-std::atomic<bool> force_mmap_failure{false};
-}  // namespace bundle_testing
-
 namespace {
 
 constexpr uint64_t kMagic = 0x31444E4254435343ULL;  // "CSCTBND1"
@@ -55,10 +51,6 @@ struct FileCloser {
   }
 };
 using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
-
-bool WriteU64(std::FILE* f, uint64_t v) {
-  return std::fwrite(&v, sizeof(v), 1, f) == 1;
-}
 
 /// The workload scale knobs that (besides the configs) determine trace
 /// bytes, flattened into a fixed-width block.
@@ -107,64 +99,24 @@ struct SetIndex {
   std::vector<TraceIndex> traces;
 };
 
-struct ParsedHeader {
-  uint64_t header_end = 0;  ///< first payload byte (64-aligned)
-  std::vector<SetIndex> sets;
-};
-
-/// Sequential word supplier for the two header transports: a mapped
-/// buffer and a FILE*. The parser mixes its own checksum.
-class WordSource {
- public:
-  virtual ~WordSource() = default;
-  virtual bool Next(uint64_t* v) = 0;
-};
-
-class BufferWordSource : public WordSource {
- public:
-  BufferWordSource(const uint64_t* words, uint64_t n_words)
-      : words_(words), n_(n_words) {}
-  bool Next(uint64_t* v) override {
-    if (pos_ >= n_) return false;
-    *v = words_[pos_++];
-    return true;
-  }
-
- private:
-  const uint64_t* words_;
-  uint64_t n_;
-  uint64_t pos_ = 0;
-};
-
-class FileWordSource : public WordSource {
- public:
-  explicit FileWordSource(std::FILE* f) : f_(f) {}
-  bool Next(uint64_t* v) override {
-    return std::fread(v, sizeof(*v), 1, f_) == 1;
-  }
-
- private:
-  std::FILE* f_;
-};
-
-/// Parses and validates the v3 header against the expected canonical
-/// sequence: magic, version, scale knobs, config blocks, index geometry
-/// (every offset must equal the canonical 64-aligned layout and the
-/// last payload must end exactly at file_bytes), and the header
-/// checksum. False on any mismatch. Payload checksums are NOT checked —
-/// transports decide when (fread: eagerly; mmap: lazily per set).
-bool ParseHeader(WordSource* src, int64_t file_bytes,
+/// Parses and validates the v3 header at the start of `words` (the whole
+/// file, `n_words` long) against the expected canonical sequence: magic,
+/// version, scale knobs, config blocks, index geometry (every offset
+/// must equal the canonical 64-aligned layout and the last payload must
+/// end exactly at the end of the file), and the header checksum. False
+/// on any mismatch. Payload checksums are NOT checked here — the caller
+/// verifies them lazily, per set (VerifyBundleSet).
+bool ParseHeader(const uint64_t* words, uint64_t n_words,
                  const harness::WorkloadFactory& factory,
                  const std::vector<harness::TraceSetConfig>& expected,
-                 ParsedHeader* out) {
-  if (file_bytes <= 0 || file_bytes % 8 != 0) return false;
-  const uint64_t max_words = static_cast<uint64_t>(file_bytes) / 8;
+                 std::vector<SetIndex>* out) {
+  const uint64_t file_bytes = n_words * 8;
   Checksum sum;
   uint64_t words_read = 0;
   uint64_t v = 0;
   const auto get = [&](uint64_t* dst) {
-    if (words_read >= max_words || !src->Next(dst)) return false;
-    ++words_read;
+    if (words_read >= n_words) return false;
+    *dst = words[words_read++];
     sum.Mix(*dst);
     return true;
   };
@@ -174,8 +126,8 @@ bool ParseHeader(WordSource* src, int64_t file_bytes,
     if (!get(&v) || v != want) return false;
   }
   if (!get(&v) || v != expected.size()) return false;
-  out->sets.clear();
-  out->sets.reserve(expected.size());
+  out->clear();
+  out->reserve(expected.size());
   for (const harness::TraceSetConfig& cfg : expected) {
     for (uint64_t want : ConfigBlock(cfg)) {
       if (!get(&v) || v != want) return false;
@@ -186,7 +138,7 @@ bool ParseHeader(WordSource* src, int64_t file_bytes,
     }
     // Each trace contributes a 5-word index row; bound a corrupt count
     // before it reaches vector::resize.
-    if (v > max_words / 5) return false;
+    if (v > n_words / 5) return false;
     si.traces.resize(v);
     for (TraceIndex& ti : si.traces) {
       if (!get(&ti.requests) || !get(&ti.total_instructions) ||
@@ -194,71 +146,77 @@ bool ParseHeader(WordSource* src, int64_t file_bytes,
           !get(&ti.checksum)) {
         return false;
       }
-      if (ti.requests > UINT32_MAX || ti.n_events > max_words) return false;
+      if (ti.requests > UINT32_MAX || ti.n_events > n_words) return false;
     }
-    out->sets.push_back(std::move(si));
+    out->push_back(std::move(si));
   }
   // Header checksum covers every header word above it.
-  const uint64_t computed = sum.state;
-  uint64_t stored = 0;
-  if (words_read >= max_words || !src->Next(&stored)) return false;
-  ++words_read;
-  if (stored != computed) return false;
+  if (words_read >= n_words || words[words_read++] != sum.state) {
+    return false;
+  }
   // Geometry: the index must describe exactly the canonical layout —
   // payloads packed in order at 64-byte-aligned offsets right after the
   // padded header, with nothing trailing.
-  out->header_end = Align64(words_read * 8);
-  uint64_t cursor = out->header_end;
-  for (const SetIndex& si : out->sets) {
+  uint64_t cursor = Align64(words_read * 8);
+  for (const SetIndex& si : *out) {
     for (const TraceIndex& ti : si.traces) {
       if (ti.offset_bytes != cursor) return false;
-      if (ti.n_events > (static_cast<uint64_t>(file_bytes) - cursor) / 8) {
-        return false;
-      }
+      if (ti.n_events > (file_bytes - cursor) / 8) return false;
       cursor += Align64(ti.n_events * 8);
     }
   }
-  return cursor == static_cast<uint64_t>(file_bytes);
+  return cursor == file_bytes;
 }
 
-/// Restores the fields that are pure functions of the config (and so are
-/// not serialized), the way WorkloadWorld::Build derives them.
-void InitSetFromConfig(harness::TraceSet* ts,
-                       const harness::TraceSetConfig& cfg) {
-  ts->config = cfg;
-  ts->tenant_a_clients = cfg.tenant2_clients > 0 ? cfg.clients : 0;
-}
+/// Refcounted read-only mapping of a bundle file; unmaps on destruction.
+/// Served TraceSets hold it via their type-erased `backing` pointer, so
+/// the mapping lives exactly as long as the last view into it. Renaming
+/// a fresh bundle over the mapped path is safe: the mapping pins the old
+/// inode.
+class MappedBundle {
+ public:
+  /// Maps `path` read-only. Null on open/stat/mmap failure (and for an
+  /// empty file) — callers demote to a cold rebuild.
+  static std::shared_ptr<MappedBundle> Map(const std::string& path) {
+#ifndef __unix__
+    (void)path;
+    return nullptr;
+#else
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0) return nullptr;
+    struct stat st;
+    if (::fstat(fd, &st) != 0 || st.st_size <= 0) {
+      ::close(fd);
+      return nullptr;
+    }
+    const uint64_t bytes = static_cast<uint64_t>(st.st_size);
+    void* addr = ::mmap(nullptr, bytes, PROT_READ, MAP_PRIVATE, fd, 0);
+    ::close(fd);
+    if (addr == MAP_FAILED) return nullptr;
+    return std::shared_ptr<MappedBundle>(new MappedBundle(addr, bytes));
+#endif
+  }
+  ~MappedBundle() {
+#ifdef __unix__
+    if (addr_ != nullptr) ::munmap(addr_, bytes_);
+#endif
+  }
+
+  MappedBundle(const MappedBundle&) = delete;
+  MappedBundle& operator=(const MappedBundle&) = delete;
+
+  const uint64_t* words() const {
+    return static_cast<const uint64_t*>(addr_);
+  }
+  uint64_t size_bytes() const { return bytes_; }
+
+ private:
+  MappedBundle(void* addr, uint64_t bytes) : addr_(addr), bytes_(bytes) {}
+  void* addr_;
+  uint64_t bytes_;
+};
 
 }  // namespace
-
-std::shared_ptr<MappedBundle> MappedBundle::Map(const std::string& path) {
-#ifndef __unix__
-  (void)path;
-  return nullptr;
-#else
-  if (bundle_testing::force_mmap_failure.load(std::memory_order_relaxed)) {
-    return nullptr;
-  }
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return nullptr;
-  struct stat st;
-  if (::fstat(fd, &st) != 0 || st.st_size <= 0) {
-    ::close(fd);
-    return nullptr;
-  }
-  const uint64_t bytes = static_cast<uint64_t>(st.st_size);
-  void* addr = ::mmap(nullptr, bytes, PROT_READ, MAP_PRIVATE, fd, 0);
-  ::close(fd);
-  if (addr == MAP_FAILED) return nullptr;
-  return std::shared_ptr<MappedBundle>(new MappedBundle(addr, bytes));
-#endif
-}
-
-MappedBundle::~MappedBundle() {
-#ifdef __unix__
-  if (addr_ != nullptr) ::munmap(addr_, bytes_);
-#endif
-}
 
 int64_t BundleFileBytes(const std::string& path) {
   FilePtr f(std::fopen(path.c_str(), "rb"));
@@ -365,118 +323,47 @@ bool VerifyBundleSet(const harness::TraceSet& set,
 
 BundleOpenResult OpenTraceBundle(
     const std::string& path, const harness::WorkloadFactory& factory,
-    const std::vector<harness::TraceSetConfig>& expected,
-    const std::vector<char>* needed, bool force_fread) {
+    const std::vector<harness::TraceSetConfig>& expected) {
   BundleOpenResult r;
-  if (!force_fread) {
-    const auto map_t0 = std::chrono::steady_clock::now();
-    std::shared_ptr<MappedBundle> mapping = MappedBundle::Map(path);
-    if (mapping != nullptr) {
-      // Map succeeded: validate the header against the mapped words. A
-      // mismatch here means the bytes themselves are stale/corrupt —
-      // the fread path would read the same bytes and reject them too,
-      // so demote straight to cold.
-      ParsedHeader ph;
-      BufferWordSource src(mapping->words(), mapping->size_bytes() / 8);
-      if (!ParseHeader(&src, static_cast<int64_t>(mapping->size_bytes()),
-                       factory, expected, &ph)) {
-        return r;
-      }
-      r.mode = "mmap";
-      r.bytes_mapped = mapping->size_bytes();
-      r.sets.resize(expected.size());
-      r.checksums.resize(expected.size());
-      for (size_t j = 0; j < expected.size(); ++j) {
-        harness::TraceSet& ts = r.sets[j];
-        const SetIndex& si = ph.sets[j];
-        InitSetFromConfig(&ts, expected[j]);
-        ts.total_instructions = si.total_instructions;
-        ts.total_events = si.total_events;
-        ts.backing = mapping;  // pins the mapping per served set
-        ts.traces.resize(si.traces.size());
-        r.checksums[j].reserve(si.traces.size());
-        for (size_t i = 0; i < si.traces.size(); ++i) {
-          const TraceIndex& ti = si.traces[i];
-          trace::ClientTrace& t = ts.traces[i];
-          t.SetView(mapping->words() + ti.offset_bytes / 8, ti.n_events);
-          t.total_instructions = ti.total_instructions;
-          t.requests = static_cast<uint32_t>(ti.requests);
-          r.checksums[j].push_back(ti.checksum);
-        }
-      }
-      r.map_us = static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - map_t0)
-              .count());
-      return r;
-    }
-    // Map failure (syscall or test hook): demote to the fread path.
+  const auto map_t0 = std::chrono::steady_clock::now();
+  std::shared_ptr<MappedBundle> mapping = MappedBundle::Map(path);
+  if (mapping == nullptr || mapping->size_bytes() % 8 != 0) return r;
+  std::vector<SetIndex> index;
+  if (!ParseHeader(mapping->words(), mapping->size_bytes() / 8, factory,
+                   expected, &index)) {
+    return r;
   }
-
-  FilePtr f(std::fopen(path.c_str(), "rb"));
-  if (!f) return r;
-  const int64_t file_bytes = BundleFileBytes(path);
-  if (file_bytes < 0) return r;
-  ParsedHeader ph;
-  FileWordSource src(f.get());
-  if (!ParseHeader(&src, file_bytes, factory, expected, &ph)) return r;
-  std::vector<harness::TraceSet> sets(expected.size());
+  r.mode = "mmap";
+  r.bytes_mapped = mapping->size_bytes();
+  r.sets.resize(expected.size());
+  r.checksums.resize(expected.size());
   for (size_t j = 0; j < expected.size(); ++j) {
-    harness::TraceSet& ts = sets[j];
-    const SetIndex& si = ph.sets[j];
-    InitSetFromConfig(&ts, expected[j]);
+    harness::TraceSet& ts = r.sets[j];
+    const SetIndex& si = index[j];
+    // Fields that are pure functions of the config are not serialized;
+    // restore them the way WorkloadWorld::Build derives them.
+    ts.config = expected[j];
+    ts.tenant_a_clients =
+        expected[j].tenant2_clients > 0 ? expected[j].clients : 0;
     ts.total_instructions = si.total_instructions;
     ts.total_events = si.total_events;
-    // A sharded run skips sets none of its cells touch: their payload
-    // bytes are never read (the index already told us where the next
-    // needed set lives) and the slot stays empty.
-    if (needed != nullptr && !(*needed)[j]) continue;
+    ts.backing = mapping;  // pins the mapping per served set
     ts.traces.resize(si.traces.size());
+    r.checksums[j].reserve(si.traces.size());
     for (size_t i = 0; i < si.traces.size(); ++i) {
       const TraceIndex& ti = si.traces[i];
       trace::ClientTrace& t = ts.traces[i];
-      t.requests = static_cast<uint32_t>(ti.requests);
+      t.SetView(mapping->words() + ti.offset_bytes / 8, ti.n_events);
       t.total_instructions = ti.total_instructions;
-      t.events.resize(ti.n_events);
-#ifdef __unix__
-      if (::fseeko(f.get(), static_cast<off_t>(ti.offset_bytes),
-                   SEEK_SET) != 0) {
-        return r;
-      }
-#else
-      if (std::fseek(f.get(), static_cast<long>(ti.offset_bytes),
-                     SEEK_SET) != 0) {
-        return r;
-      }
-#endif
-      if (ti.n_events != 0 &&
-          std::fread(t.events.data(), sizeof(uint64_t), ti.n_events,
-                     f.get()) != ti.n_events) {
-        return r;
-      }
-      // Eager per-trace verification: the fread path hands out sets
-      // that are already trusted, all-or-nothing.
-      Checksum sum;
-      sum.MixAll(t.events.data(), t.events.size());
-      if (sum.state != ti.checksum) return r;
+      t.requests = static_cast<uint32_t>(ti.requests);
+      r.checksums[j].push_back(ti.checksum);
     }
   }
-  r.mode = "fread";
-  r.sets = std::move(sets);
+  r.map_us = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - map_t0)
+          .count());
   return r;
-}
-
-bool LoadTraceBundle(const std::string& path,
-                     const harness::WorkloadFactory& factory,
-                     const std::vector<harness::TraceSetConfig>& expected,
-                     std::vector<harness::TraceSet>* out) {
-  out->clear();
-  BundleOpenResult r = OpenTraceBundle(path, factory, expected,
-                                       /*needed=*/nullptr,
-                                       /*force_fread=*/true);
-  if (r.mode != "fread") return false;
-  *out = std::move(r.sets);
-  return true;
 }
 
 }  // namespace stagedcmp::sweep

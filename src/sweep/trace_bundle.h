@@ -18,19 +18,20 @@
 // Format v3 is built for zero-copy replay. The header carries a full
 // index — per-trace byte offsets, event counts, and per-trace payload
 // checksums — and every event payload is padded to a 64-byte boundary,
-// so OpenTraceBundle can mmap the file, validate header + index eagerly
-// (microseconds), and hand out *non-owning* event views into the
+// so OpenTraceBundle maps the file, validates header + index eagerly
+// (microseconds), and hands out *non-owning* event views into the
 // mapping (ClientTrace::SetView). Payload checksums are then verified
 // lazily, one set at a time, via VerifyBundleSet — the sweep runner does
 // this on its build pool, overlapped with simulation. The mapping is
-// owned by a refcounted MappedBundle pinned through each served
-// TraceSet's `backing` handle, so cache eviction unmaps safely.
+// refcounted and pinned through each served TraceSet's `backing`
+// handle, so a set's views stay valid for as long as the set lives.
 //
-// Demotion chain: mmap syscall failure (or a forced fallback) demotes to
-// the fread path — owning buffers, header + payload checksums verified
-// eagerly while reading, all-or-nothing — and any header mismatch,
-// truncation, version skew (a v2 bundle read by this code), or checksum
-// failure demotes to a cold rebuild (which then rewrites the bundle).
+// Mapping is the only transport. Anything that keeps a bundle from
+// being served — a file that cannot be mapped (missing, empty, a
+// directory), a header mismatch, truncation, version skew (a v2 bundle
+// read by this code) — demotes to a cold rebuild, which then rewrites
+// the bundle; a set whose payload fails VerifyBundleSet rebuilds cold
+// alone. Output never changes, only speed.
 //
 // Staleness caveat: the format records configs and scales, not the
 // engine's code. After changing trace generation itself (workloads,
@@ -42,9 +43,7 @@
 #ifndef STAGEDCMP_SWEEP_TRACE_BUNDLE_H_
 #define STAGEDCMP_SWEEP_TRACE_BUNDLE_H_
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -52,46 +51,20 @@
 
 namespace stagedcmp::sweep {
 
-/// Refcounted read-only mapping of a bundle file; unmaps on destruction.
-/// Served TraceSets hold it via their type-erased `backing` pointer, so
-/// the mapping lives exactly as long as the last view into it. Renaming
-/// a fresh bundle over the mapped path is safe: the mapping pins the old
-/// inode.
-class MappedBundle {
- public:
-  /// Maps `path` read-only. Null on open/stat/mmap failure (including
-  /// the test hook below) — callers demote to the fread path.
-  static std::shared_ptr<MappedBundle> Map(const std::string& path);
-  ~MappedBundle();
-
-  MappedBundle(const MappedBundle&) = delete;
-  MappedBundle& operator=(const MappedBundle&) = delete;
-
-  const uint64_t* words() const {
-    return static_cast<const uint64_t*>(addr_);
-  }
-  uint64_t size_bytes() const { return bytes_; }
-
- private:
-  MappedBundle(void* addr, uint64_t bytes) : addr_(addr), bytes_(bytes) {}
-  void* addr_;
-  uint64_t bytes_;
-};
-
 /// Outcome of OpenTraceBundle. `sets` is parallel to the expected config
-/// sequence; `mode` records the transport that served it:
-///   "mmap"  — view-based sets into a shared mapping; header + index
-///             validated, payload checksums NOT yet — callers must run
-///             VerifyBundleSet(sets[j], checksums[j]) before trusting a
-///             set, and on failure rebuild that set cold.
-///   "fread" — owning sets, fully verified; checksums is empty.
-///   "cold"  — nothing served (missing/stale/corrupt header); sets empty.
+/// sequence; `mode` records whether the bundle served them:
+///   "mmap" — view-based sets into a shared mapping; header + index
+///            validated, payload checksums NOT yet — callers must run
+///            VerifyBundleSet(sets[j], checksums[j]) before trusting a
+///            set, and on failure rebuild that set cold.
+///   "cold" — nothing served (unmappable file or missing/stale/corrupt
+///            header); sets empty.
 struct BundleOpenResult {
   std::string mode = "cold";
   std::vector<harness::TraceSet> sets;
-  std::vector<std::vector<uint64_t>> checksums;  ///< mmap: per set/trace
-  uint64_t bytes_mapped = 0;  ///< mmap: whole-file mapping size
-  uint64_t map_us = 0;        ///< mmap: open+validate wall time
+  std::vector<std::vector<uint64_t>> checksums;  ///< per set, per trace
+  uint64_t bytes_mapped = 0;  ///< whole-file mapping size
+  uint64_t map_us = 0;        ///< open+validate wall time
 };
 
 /// Writes `sets` (in build order) to `path` atomically (temp + rename)
@@ -101,18 +74,13 @@ bool SaveTraceBundle(const std::string& path,
                      const harness::WorkloadFactory& factory,
                      const std::vector<const harness::TraceSet*>& sets);
 
-/// Opens `path` for the canonical sequence `expected`: mmap first, fread
-/// on map failure, "cold" when the header does not match. `needed`
-/// (optional, parallel to `expected`) marks the sets the caller will
-/// actually use — a sharded run passes its subset so the fread path
-/// skips unneeded payload bytes entirely (seeking over them) and leaves
-/// those `sets` slots empty; the mmap path serves every set but only
-/// needed pages are ever faulted in. `force_fread` skips the mmap
-/// attempt (measurement + tests).
+/// Opens `path` for the canonical sequence `expected`: maps the file and
+/// validates its header, or returns mode "cold" when the file cannot be
+/// mapped or its header does not match. Every set is served; a sharded
+/// caller only faults in the pages of the sets it replays.
 BundleOpenResult OpenTraceBundle(
     const std::string& path, const harness::WorkloadFactory& factory,
-    const std::vector<harness::TraceSetConfig>& expected,
-    const std::vector<char>* needed = nullptr, bool force_fread = false);
+    const std::vector<harness::TraceSetConfig>& expected);
 
 /// Verifies one mmap-served set's event payloads against the per-trace
 /// checksums recorded in the bundle index. Faults in the set's pages.
@@ -120,25 +88,11 @@ BundleOpenResult OpenTraceBundle(
 bool VerifyBundleSet(const harness::TraceSet& set,
                      const std::vector<uint64_t>& checksums);
 
-/// Compatibility shim over OpenTraceBundle's fread path: loads `path`
-/// into owning `out` sets iff the bundle matches `expected` + the
-/// factory's scale knobs, fully verified. On false, `out` is unspecified.
-bool LoadTraceBundle(const std::string& path,
-                     const harness::WorkloadFactory& factory,
-                     const std::vector<harness::TraceSetConfig>& expected,
-                     std::vector<harness::TraceSet>* out);
-
 /// Size of `path` in bytes via fseeko/ftello (int64_t end to end), or -1
 /// on error. The v2 loader funneled this through a `long`, which
 /// truncates at 2 GiB on LP32/Windows ABIs — exactly where out-of-core
 /// bundles live. Exposed for the regression test.
 int64_t BundleFileBytes(const std::string& path);
-
-namespace bundle_testing {
-/// When true, MappedBundle::Map fails as if mmap itself did — lets tests
-/// and scripts exercise the mmap → fread demotion without a real fault.
-extern std::atomic<bool> force_mmap_failure;
-}  // namespace bundle_testing
 
 }  // namespace stagedcmp::sweep
 

@@ -26,7 +26,6 @@ TraceSetCache::TraceSetCache(const harness::WorkloadFactory* factory,
     hit_ctr_ = &metrics->counter("trace_cache.hits");
     miss_ctr_ = &metrics->counter("trace_cache.misses");
     insert_ctr_ = &metrics->counter("trace_cache.inserts");
-    evict_ctr_ = &metrics->counter("trace_cache.evictions");
     rendezvous_ctr_ = &metrics->counter("trace_cache.rendezvous_waits");
     build_us_ = &metrics->histogram("trace_cache.build_us");
     rendezvous_wait_us_ =
@@ -80,11 +79,7 @@ const harness::TraceSet& TraceSetCache::Get(
   // propagates — the next caller retries.
   std::call_once(entry->once, [&] {
     const Clock::time_point build_t0 = Clock::now();
-    auto built = std::make_unique<harness::TraceSet>(factory_->Build(config));
-    // Warm the pointer cache before publication, so concurrent readers
-    // only ever see the (const) pre-populated fast path.
-    built->Pointers();
-    entry->set = std::move(built);
+    entry->set = std::make_unique<harness::TraceSet>(factory_->Build(config));
     entry->ready.store(true, std::memory_order_release);
     builds_.fetch_add(1, std::memory_order_relaxed);
     if (build_us_ != nullptr) build_us_->Record(MicrosSince(build_t0));
@@ -111,21 +106,11 @@ const harness::TraceSet& TraceSetCache::Get(
 const harness::TraceSet& TraceSetCache::Insert(harness::TraceSet&& set) {
   std::shared_ptr<Entry> entry = EntryFor(MakeKey(set.config));
   std::call_once(entry->once, [&] {
-    auto owned = std::make_unique<harness::TraceSet>(std::move(set));
-    owned->Pointers();  // warm before publication, as in Get()
-    entry->set = std::move(owned);
+    entry->set = std::make_unique<harness::TraceSet>(std::move(set));
     entry->ready.store(true, std::memory_order_release);
     if (insert_ctr_ != nullptr) insert_ctr_->Add(1);
   });
   return *entry->set;
-}
-
-void TraceSetCache::EvictAll() {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  // Destroying the entries frees their event buffers (the effect
-  // ClientTrace::Release() gives holders that keep the object alive).
-  if (evict_ctr_ != nullptr) evict_ctr_->Add(cache_.size());
-  cache_.clear();
 }
 
 TraceSetCache::Stats TraceSetCache::stats() const {

@@ -14,12 +14,15 @@
 //     order and build concurrency never change a set's contents. Event
 //     skeletons are exactly reproducible; absolute data addresses follow
 //     heap placement (see tests/test_determinism.cc).
-//   * Returned references stay valid for the cache's lifetime (entries
-//     are never evicted behind a caller's back; see EvictAll).
+//   * Returned references stay valid for the cache's lifetime: entries
+//     are never evicted. A caller that wants a cold rebuild takes a
+//     fresh cache.
+//   * A published TraceSet is never written again; readers need no
+//     synchronization beyond the entry's publication (see Entry).
 //
 // Observability (optional): constructed with a MetricsRegistry the cache
 // maintains `trace_cache.*` counters (lookups, hits, misses, inserts,
-// evictions, rendezvous_waits) and histograms (build_us,
+// rendezvous_waits) and histograms (build_us,
 // rendezvous_wait_us). Invariants, checked by tests and scripts/check.sh:
 // lookups == hits + misses; misses == builds-by-Get; a caller that blocks
 // on another thread's in-flight build counts as a hit AND a
@@ -55,14 +58,6 @@ class TraceSetCache {
   /// a disk bundle); counts as neither a hit nor a build. If the config
   /// is already cached the existing entry wins and `set` is dropped.
   const harness::TraceSet& Insert(harness::TraceSet&& set);
-
-  /// Drops every cached trace set, releasing event storage via
-  /// ClientTrace::Release(). The caller must guarantee no returned
-  /// reference is still in use and no Get() is in flight (call between
-  /// sweeps, never during one) — this is the eviction path that keeps
-  /// long-lived caches from holding the peak working set of every sweep
-  /// they ever served.
-  void EvictAll();
 
   struct Stats {
     uint64_t hits = 0;    ///< Get() calls served from the cache
@@ -110,7 +105,6 @@ class TraceSetCache {
   Counter* hit_ctr_ = nullptr;
   Counter* miss_ctr_ = nullptr;
   Counter* insert_ctr_ = nullptr;
-  Counter* evict_ctr_ = nullptr;
   Counter* rendezvous_ctr_ = nullptr;
   HistogramMetric* build_us_ = nullptr;
   HistogramMetric* rendezvous_wait_us_ = nullptr;

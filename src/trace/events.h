@@ -107,16 +107,6 @@ struct ClientTrace {
     total_instructions = 0;
     requests = 0;
   }
-  /// Clear() plus freeing the event buffer. Eviction paths (e.g. the
-  /// sweep TraceSetCache) use this so a dropped trace set returns its
-  /// memory instead of holding peak capacity.
-  void Release() {
-    std::vector<uint64_t>().swap(events);
-    view_data = nullptr;
-    view_size = 0;
-    total_instructions = 0;
-    requests = 0;
-  }
   bool empty() const { return events_size() == 0; }
 };
 
