@@ -209,6 +209,35 @@ static void BM_SmpDirectoryChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_SmpDirectoryChurn);
 
+// Read misses on one line every SMP node shares, at n nodes. Direct-
+// mapped L1D and L2 make each iteration two reads at one node: a
+// private line that conflicts the hot line out of both caches, then the
+// hot line again — a read miss while the other n - 1 nodes hold it
+// Shared. The directory answers that read from the line's owner field
+// (none here), so the ns/access column should not grow with n.
+static void BM_SmpReadSharedLine(benchmark::State& state) {
+  const uint32_t n = static_cast<uint32_t>(state.range(0));
+  memsim::HierarchyConfig hc;
+  hc.num_cores = n;
+  hc.l1i = memsim::CacheConfig{4 << 10, 1, 64};
+  hc.l1d = memsim::CacheConfig{4 << 10, 1, 64};
+  hc.l2 = memsim::CacheConfig{16 << 10, 1, 64};
+  memsim::PrivateL2Hierarchy h(hc);
+  const uint64_t hot = 0x1000000;
+  uint64_t now = 0;
+  for (uint32_t k = 0; k < n; ++k) h.AccessData(k, hot, false, ++now);
+  uint32_t k = 0;
+  for (auto _ : state) {
+    // hot + (k + 1) * L2 size maps to the hot line's set in both caches.
+    h.AccessData(k, hot + (uint64_t{k} + 1) * hc.l2.size_bytes, false,
+                 ++now);
+    benchmark::DoNotOptimize(h.AccessData(k, hot, false, ++now));
+    if (++k == n) k = 0;
+  }
+  state.SetItemsProcessed(2 * state.iterations());
+}
+BENCHMARK(BM_SmpReadSharedLine)->Arg(16)->Arg(256)->Arg(1024);
+
 static void BM_CmpHierarchyAccess(benchmark::State& state) {
   memsim::HierarchyConfig hc;
   hc.num_cores = 4;

@@ -67,9 +67,10 @@ CmpSimulator::CmpSimulator(const SimConfig& config,
 }
 
 SimResult CmpSimulator::Run() {
+  // Run is call-once, so the engine takes the client vector over.
   return memsim::VisitHierarchy(*hierarchy_, [this](auto& h) {
-    return ReplayEngine<std::remove_reference_t<decltype(h)>>(config_, &h,
-                                                              clients_)
+    return ReplayEngine<std::remove_reference_t<decltype(h)>>(
+               config_, &h, std::move(clients_))
         .Run();
   });
 }

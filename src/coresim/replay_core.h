@@ -21,6 +21,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "coresim/cmp.h"
@@ -39,10 +40,10 @@ template <typename H>
 class ReplayEngine {
  public:
   ReplayEngine(const SimConfig& config, H* hierarchy,
-               const std::vector<const trace::ClientTrace*>& clients)
+               std::vector<const trace::ClientTrace*> clients)
       : config_(config),
         hierarchy_(hierarchy),
-        clients_(clients),
+        clients_(std::move(clients)),
         tenants_on_(config.tenant_a_clients > 0) {
     assert(hierarchy_ != nullptr);
     cores_.resize(config_.num_cores);
@@ -474,9 +475,8 @@ class ReplayEngine {
 
   SimConfig config_;
   H* hierarchy_;
-  // Owned copy (a few pointers per client, once per simulation): storing
-  // the constructor argument by reference would dangle whenever a caller
-  // passes a temporary vector.
+  // Owned, taken by value: CmpSimulator moves its vector in, other callers
+  // copy theirs, and a temporary argument cannot dangle.
   std::vector<const trace::ClientTrace*> clients_;
   std::vector<Core> cores_;
   double total_committed_ = 0.0;

@@ -161,14 +161,18 @@ class MemoryHierarchy {
   virtual double L2HitRate() const = 0;
 };
 
-/// Coherence-directory entry, shared by both hierarchies: which node, if
-/// any, holds the line dirty (`dirty_owner`, -1 for none). The line's
-/// sharer set — one bit per node — is stored beside it as the
-/// directory's per-slot words (SharersOf). The SMP directory mirrors L2
-/// state only — an L1-Modified line whose L2 copy is still Exclusive has
-/// dirty_owner == -1, matching what a snoop of the L2s would see.
+/// Coherence-directory entry, shared by both hierarchies: the line's
+/// `owner`, -1 for none. The line's sharer set — one bit per node — is
+/// stored beside it as the directory's per-slot words (SharersOf).
+///   * CMP L1 directory: the core that last wrote the line. A hint — the
+///     L1-to-L1 transfer path checks that core's L1D still holds the line
+///     Modified before using it.
+///   * SMP L2 directory: exactly the node whose L2 holds the line
+///     Exclusive or Modified (MESI allows at most one). It mirrors L2
+///     state only: a node whose L1D copy is Modified over a still-
+///     Exclusive L2 copy owns a clean line, as a snoop of the L2s sees.
 struct DirEntry {
-  int16_t dirty_owner = -1;
+  int16_t owner = -1;
 };
 
 /// line -> DirEntry, with BitWordsFor(num_cores) sharer words per line.
@@ -229,11 +233,13 @@ class SharedL2Hierarchy final : public MemoryHierarchy {
 ///
 /// Two arms share this implementation, selected at compile time:
 ///   * kUseDirectory = true (`PrivateL2Hierarchy`, the default): a
-///     sharers-bitmap directory (`SharerDirectory`) kept exactly in sync
-///     by every L2 fill, invalidation, downgrade and eviction. L2 misses
-///     and write upgrades visit only the bitmap's set bits, so coherence
-///     cost scales with the number of actual holders instead of with
-///     num_cores.
+///     sharers-bitmap directory (`SharerDirectory`) with each line's
+///     Exclusive/Modified owner, kept exactly in sync by every L2 fill,
+///     invalidation, downgrade and eviction. A read miss visits only the
+///     owner, if any: Shared holders need no action. Write misses and
+///     upgrades visit the bitmap's set bits, each one an invalidation. So
+///     coherence cost is O(1) per read and O(holders) per write, instead
+///     of O(num_cores) for both.
 ///   * kUseDirectory = false (`PrivateL2SnoopHierarchy`): the original
 ///     broadcast snoop that probes every peer L2 per miss/upgrade. Kept
 ///     only as the reference arm: no factory builds it, and
@@ -264,12 +270,17 @@ class PrivateL2HierarchyImpl final : public MemoryHierarchy {
   /// The coherence directory (empty for the snoop arm). Tests only.
   const SharerDirectory& directory() const { return l2_dir_; }
 
+  /// Node `n`'s private L1D and L2. Tests only.
+  const Cache& l1d(uint32_t n) const { return l1d_[n]; }
+  const Cache& l2(uint32_t n) const { return l2_[n]; }
+
   /// Cross-checks the directory against the actual L2 contents, both
   /// ways: every resident L2 line must have its node's sharer bit set
-  /// (with dirty_owner pointing at the node iff that L2 copy is
-  /// Modified), and every directory bit must correspond to a resident
-  /// line. O(total L2 capacity); returns an empty string when
-  /// consistent, else a description of the first violation. Tests only.
+  /// (with owner pointing at the node iff that L2 copy is Exclusive or
+  /// Modified), and every directory bit and owner must correspond to a
+  /// resident line in that state. O(total L2 capacity); returns an empty
+  /// string when consistent, else a description of the first violation.
+  /// Tests only.
   std::string CheckDirectoryInvariants() const;
 
  private:
@@ -315,7 +326,7 @@ class PrivateL2HierarchyImpl final : public MemoryHierarchy {
     if (e == nullptr) return;
     const BitSpan sharers = SharersOf(l2_dir_, *e);
     sharers.Reset(node);
-    if (e->dirty_owner == static_cast<int16_t>(node)) e->dirty_owner = -1;
+    if (e->owner == static_cast<int16_t>(node)) e->owner = -1;
     if (sharers.None()) l2_dir_.Erase(ev.line_addr);
   }
 
@@ -324,7 +335,7 @@ class PrivateL2HierarchyImpl final : public MemoryHierarchy {
   std::vector<Cache> l1d_;
   std::vector<Cache> l2_;  // one private L2 per node
   std::vector<StreamBufferFile> sbuf_;
-  // line -> {sharers bitmap, dirty owner} over the private L2s. Flat
+  // line -> {sharers bitmap, E/M owner} over the private L2s. Flat
   // open-addressed table (same rationale as the CMP L1 directory):
   // probed on every L2 miss, upgrade, fill and eviction. Empty, with no
   // sharer words, in the snoop arm.
@@ -334,8 +345,8 @@ class PrivateL2HierarchyImpl final : public MemoryHierarchy {
   uint32_t line_shift_;
 };
 
-/// Directory-based SMP hierarchy (the default; coherence actions visit
-/// only the line's actual holders).
+/// Directory-based SMP hierarchy (the default; a read miss visits only
+/// the line's owner, a write only its actual holders).
 using PrivateL2Hierarchy = PrivateL2HierarchyImpl<true>;
 /// Broadcast-snoop reference arm for the equivalence tests (O(num_cores)
 /// probes per miss/upgrade; no sharer bitmaps).
@@ -389,7 +400,7 @@ inline void SharedL2Hierarchy::TrackL1Fill(uint32_t core, uint64_t line_addr,
       ++stats_.invalidations;
     });
     sharers.SetOnly(core);
-    e.dirty_owner = static_cast<int16_t>(core);
+    e.owner = static_cast<int16_t>(core);
   } else {
     sharers.Set(core);
   }
@@ -412,7 +423,7 @@ inline AccessResult SharedL2Hierarchy::AccessData(uint32_t core, uint64_t addr,
         if (SharersOf(l1_dir_, *e).AnyExcept(core)) {
           TrackL1Fill(core, line, /*is_write=*/true);
         } else {
-          e->dirty_owner = static_cast<int16_t>(core);
+          e->owner = static_cast<int16_t>(core);
         }
       }
     }
@@ -423,9 +434,9 @@ inline AccessResult SharedL2Hierarchy::AccessData(uint32_t core, uint64_t addr,
   // L1 miss. Check for a dirty copy in a peer L1 (fast on-chip transfer).
   DirEntry* de = l1_dir_.Find(line);
   const bool dirty_remote =
-      de != nullptr && de->dirty_owner >= 0 &&
-      de->dirty_owner != static_cast<int16_t>(core) &&
-      l1d_[static_cast<uint32_t>(de->dirty_owner)].GetState(line) ==
+      de != nullptr && de->owner >= 0 &&
+      de->owner != static_cast<int16_t>(core) &&
+      l1d_[static_cast<uint32_t>(de->owner)].GetState(line) ==
           LineState::kModified;
 
   const uint64_t qd = PortDelay(line, now);
@@ -434,9 +445,9 @@ inline AccessResult SharedL2Hierarchy::AccessData(uint32_t core, uint64_t addr,
   if (dirty_remote) {
     // On-chip L1-to-L1 transfer through the shared L2 fabric. The remote
     // copy is downgraded; the shared L2 absorbs the dirty data.
-    const uint32_t owner = static_cast<uint32_t>(de->dirty_owner);
+    const uint32_t owner = static_cast<uint32_t>(de->owner);
     l1d_[owner].Downgrade(line);
-    de->dirty_owner = -1;
+    de->owner = -1;
     const Cache::ProbeResult p2 = l2_.Probe(line);
     if (!p2.hit()) l2_.FillAt(p2, line, /*is_write=*/true);
     r.cls = AccessClass::kL2Hit;  // on-chip; paper counts these as L2 hits
@@ -460,8 +471,8 @@ inline AccessResult SharedL2Hierarchy::AccessData(uint32_t core, uint64_t addr,
     if (DirEntry* e = l1_dir_.Find(l1ev.line_addr)) {
       const BitSpan sharers = SharersOf(l1_dir_, *e);
       sharers.Reset(core);
-      if (e->dirty_owner == static_cast<int16_t>(core)) {
-        e->dirty_owner = -1;
+      if (e->owner == static_cast<int16_t>(core)) {
+        e->owner = -1;
         // Dirty L1 victim is absorbed by the shared (writeback) L2.
         if (l1ev.dirty) {
           const Cache::ProbeResult pv = l2_.Probe(l1ev.line_addr);
@@ -558,18 +569,20 @@ PrivateL2HierarchyImpl<kUseDirectory>::FetchRemoteOrMemory(
     }
   };
   if constexpr (kUseDirectory) {
-    // Visit only the directory's set bits — the actual holders — instead
-    // of snooping all num_cores peers.
+    // Visit only actual holders instead of snooping all num_cores peers.
     if (DirEntry* de = l2_dir_.Find(line_addr)) {
       const BitSpan sharers = SharersOf(l2_dir_, *de);
-      sharers.ForEachSetBitExcept(node, visit_peer);
       if (is_write) {
-        // All peers invalidated; the filler re-registers below.
+        // Every holder is invalidated; the filler re-registers below.
+        sharers.ForEachSetBitExcept(node, visit_peer);
         sharers.Clear();
-        de->dirty_owner = -1;
-      } else if (dirty_remote) {
-        de->dirty_owner = -1;  // the Modified holder was downgraded
+      } else {
+        // A read changes only the Exclusive/Modified owner (downgraded);
+        // visiting a Shared holder would only set any_remote.
+        any_remote = sharers.AnyExcept(node);
+        if (de->owner >= 0) visit_peer(static_cast<uint32_t>(de->owner));
       }
+      de->owner = -1;
     }
   } else {
     for (uint32_t n = 0; n < config_.num_cores; ++n) {
@@ -586,7 +599,9 @@ PrivateL2HierarchyImpl<kUseDirectory>::FetchRemoteOrMemory(
     if (ev.valid) DirNoteEviction(node, ev);
     DirEntry& e = l2_dir_.FindOrInsert(line_addr);
     SharersOf(l2_dir_, e).Set(node);
-    if (is_write) e.dirty_owner = static_cast<int16_t>(node);
+    if (*fill_state != LineState::kShared) {
+      e.owner = static_cast<int16_t>(node);
+    }
   }
   if (ev.valid && ev.dirty) {
     ++stats_.writebacks;
@@ -630,14 +645,9 @@ inline AccessResult PrivateL2HierarchyImpl<kUseDirectory>::
   // (selects the L1 fill state below without re-probing the L2).
   bool l2_shared_after = false;
   if (l2_ok) {
+    // A write hit on Exclusive dirties the L2 copy; the directory needs
+    // no update, because the writer is already the line's owner.
     l2_[core].AccessAt(p2, is_write);
-    if constexpr (kUseDirectory) {
-      // Write hit on Exclusive dirties the L2 copy here. Already-Modified
-      // lines need no probe: the invariant guarantees dirty_owner == core.
-      if (is_write && l2s == LineState::kExclusive) {
-        l2_dir_.FindOrInsert(line).dirty_owner = static_cast<int16_t>(core);
-      }
-    }
     r.cls = AccessClass::kL2Hit;
     r.latency = config_.lat.l2_hit;
     l2_shared_after = !is_write && l2s == LineState::kShared;
@@ -657,7 +667,7 @@ inline AccessResult PrivateL2HierarchyImpl<kUseDirectory>::
       const BitSpan sharers = SharersOf(l2_dir_, de);
       sharers.ForEachSetBitExcept(core, invalidate_peer);
       sharers.SetOnly(core);
-      de.dirty_owner = static_cast<int16_t>(core);
+      de.owner = static_cast<int16_t>(core);
     } else {
       for (uint32_t n = 0; n < config_.num_cores; ++n) {
         if (n != core) invalidate_peer(n);
@@ -827,8 +837,8 @@ PrivateL2HierarchyImpl<kUseDirectory>::CheckDirectoryInvariants()
     if (!l2_dir_.empty()) return "snoop arm has a non-empty directory";
     return std::string();
   }
-  // Caches -> directory: every resident L2 line is registered, and a
-  // Modified L2 copy is the recorded dirty owner.
+  // Caches -> directory: every resident L2 line is registered, and an
+  // Exclusive or Modified L2 copy is the recorded owner.
   std::string err;
   for (uint32_t n = 0; n < config_.num_cores && err.empty(); ++n) {
     l2_[n].ForEachValidLine([&](uint64_t line, LineState s) {
@@ -840,19 +850,20 @@ PrivateL2HierarchyImpl<kUseDirectory>::CheckDirectoryInvariants()
                       "bit for it",
                       n, static_cast<unsigned long long>(line));
         err = buf;
-      } else if (s == LineState::kModified &&
-                 e->dirty_owner != static_cast<int16_t>(n)) {
+      } else if (s != LineState::kShared &&
+                 e->owner != static_cast<int16_t>(n)) {
         std::snprintf(buf, sizeof(buf),
-                      "L2[%u] holds line %#llx Modified but dirty_owner=%d",
-                      n, static_cast<unsigned long long>(line),
-                      static_cast<int>(e->dirty_owner));
+                      "L2[%u] holds line %#llx %s but owner=%d", n,
+                      static_cast<unsigned long long>(line),
+                      s == LineState::kModified ? "Modified" : "Exclusive",
+                      static_cast<int>(e->owner));
         err = buf;
       }
     });
   }
   if (!err.empty()) return err;
-  // Directory -> caches: no stale bits, no empty entries, and the dirty
-  // owner really holds the line Modified.
+  // Directory -> caches: no stale bits, no empty entries, and the owner
+  // really holds the line Exclusive or Modified.
   l2_dir_.ForEach([&](uint64_t line, const DirEntry& e) {
     if (!err.empty()) return;
     const ConstBitSpan sharers = SharersOf(l2_dir_, e);
@@ -876,13 +887,15 @@ PrivateL2HierarchyImpl<kUseDirectory>::CheckDirectoryInvariants()
       }
     });
     if (stale || !err.empty()) return;
-    if (e.dirty_owner >= 0) {
-      const uint32_t o = static_cast<uint32_t>(e.dirty_owner);
+    if (e.owner >= 0) {
+      const uint32_t o = static_cast<uint32_t>(e.owner);
+      const LineState s = o < config_.num_cores ? l2_[o].GetState(line)
+                                                : LineState::kInvalid;
       if (!sharers.Test(o) ||
-          l2_[o].GetState(line) != LineState::kModified) {
+          (s != LineState::kExclusive && s != LineState::kModified)) {
         std::snprintf(buf, sizeof(buf),
-                      "directory dirty_owner %u of line %#llx does not hold "
-                      "it Modified",
+                      "directory owner %u of line %#llx does not hold it "
+                      "Exclusive or Modified",
                       o, static_cast<unsigned long long>(line));
         err = buf;
       }

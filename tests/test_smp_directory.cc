@@ -4,11 +4,11 @@
 //
 // The invariant under test: after every access, the directory reports a
 // node as sharer if and only if that node's L2 actually holds the line in
-// a non-Invalid state, and dirty_owner points at the node holding it
-// Modified (or -1). PrivateL2Hierarchy::CheckDirectoryInvariants verifies
-// both directions against the real cache contents; here we force heavy L2
-// eviction traffic — the path where a forgotten notification would leave
-// stale sharer bits — and assert it stays clean throughout.
+// a non-Invalid state, and `owner` names the one node holding it
+// Exclusive or Modified (or -1). PrivateL2Hierarchy::CheckDirectoryInvariants
+// verifies both directions against the real cache contents; here we force
+// heavy L2 eviction traffic — the path where a forgotten notification
+// would leave stale sharer bits — and assert it stays clean throughout.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -39,42 +39,51 @@ uint64_t SharerWord0(const PrivateL2Hierarchy& h, const DirEntry* e) {
   return SharersOf(h.directory(), *e).word(0);
 }
 
+/// Node `n`'s L2 and L1D states for `addr`.
+LineState L2State(const PrivateL2Hierarchy& h, uint32_t n, uint64_t addr) {
+  return h.l2(n).GetState(addr >> 6);
+}
+LineState L1DState(const PrivateL2Hierarchy& h, uint32_t n, uint64_t addr) {
+  return h.l1d(n).GetState(addr >> 6);
+}
+
 TEST(SmpDirectoryTest, TracksWriteReadAndUpgradeTransitions) {
   PrivateL2Hierarchy h(TinyConfig(4));
   const uint64_t addr = 0x6000;
 
-  // Node 0 writes: sole sharer, dirty owner.
+  // Node 0 writes: sole sharer, owner.
   h.AccessData(0, addr, true, 0);
   const DirEntry* e = Entry(h, addr);
   ASSERT_NE(e, nullptr);
   EXPECT_EQ(SharerWord0(h, e), 0b1u);
-  EXPECT_EQ(e->dirty_owner, 0);
+  EXPECT_EQ(e->owner, 0);
 
-  // Node 1 reads: dirty owner downgraded, both share.
+  // Node 1 reads: the Modified owner is downgraded, both share.
   EXPECT_EQ(h.AccessData(1, addr, false, 10).cls, AccessClass::kCoherence);
   e = Entry(h, addr);
   ASSERT_NE(e, nullptr);
   EXPECT_EQ(SharerWord0(h, e), 0b11u);
-  EXPECT_EQ(e->dirty_owner, -1);
+  EXPECT_EQ(e->owner, -1);
 
   // Node 2 reads the now-clean line: three sharers, still no owner.
   EXPECT_EQ(h.AccessData(2, addr, false, 20).cls, AccessClass::kOffChip);
   e = Entry(h, addr);
   ASSERT_NE(e, nullptr);
   EXPECT_EQ(SharerWord0(h, e), 0b111u);
-  EXPECT_EQ(e->dirty_owner, -1);
+  EXPECT_EQ(e->owner, -1);
 
   // Node 1 upgrades (write to Shared): peers invalidated, sole owner.
   EXPECT_EQ(h.AccessData(1, addr, true, 30).cls, AccessClass::kCoherence);
   e = Entry(h, addr);
   ASSERT_NE(e, nullptr);
   EXPECT_EQ(SharerWord0(h, e), 0b10u);
-  EXPECT_EQ(e->dirty_owner, 1);
+  EXPECT_EQ(e->owner, 1);
+  EXPECT_EQ(L2State(h, 1, addr), LineState::kModified);
 
   EXPECT_EQ(h.CheckDirectoryInvariants(), "");
 }
 
-TEST(SmpDirectoryTest, ExclusiveStaysCleanUntilTheL2CopyIsWritten) {
+TEST(SmpDirectoryTest, ExclusiveFillSetsOwnerAndWriteHitsKeepIt) {
   const HierarchyConfig cfg = TinyConfig(4);
   PrivateL2Hierarchy h(cfg);
   const uint64_t addr = 0x9000;
@@ -82,27 +91,156 @@ TEST(SmpDirectoryTest, ExclusiveStaysCleanUntilTheL2CopyIsWritten) {
   const DirEntry* e = Entry(h, addr);
   ASSERT_NE(e, nullptr);
   EXPECT_EQ(SharerWord0(h, e), 0b1000u);
-  EXPECT_EQ(e->dirty_owner, -1);  // Exclusive is clean
+  EXPECT_EQ(e->owner, 3);
+  EXPECT_EQ(L2State(h, 3, addr), LineState::kExclusive);
 
   // A write now hits the L1 copy (Exclusive is writable): the L1 goes
-  // Modified but the L2 copy stays Exclusive — the directory mirrors L2
-  // state, so dirty_owner stays -1, exactly what a snoop would observe.
+  // Modified but the L2 copy stays Exclusive, and the owner stays put.
   h.AccessData(3, addr, true, 10);
+  EXPECT_EQ(L1DState(h, 3, addr), LineState::kModified);
+  EXPECT_EQ(L2State(h, 3, addr), LineState::kExclusive);
   e = Entry(h, addr);
   ASSERT_NE(e, nullptr);
-  EXPECT_EQ(e->dirty_owner, -1);
+  EXPECT_EQ(e->owner, 3);
 
   // Conflict the line out of the (tiny) L1D only: the two fills below
   // share its L1 set but land in different L2 sets. The next write then
-  // misses L1, hits the L2 copy, and dirties it — now the directory must
-  // record the owner.
+  // misses L1, hits the L2 copy and dirties it; the writer already owns
+  // the line, so the owner is unchanged.
   const uint64_t l1_stride = cfg.l1d.num_sets() * 64;
   h.AccessData(3, addr + l1_stride, false, 20);
   h.AccessData(3, addr + 2 * l1_stride, false, 30);
-  h.AccessData(3, addr, true, 40);
+  EXPECT_EQ(h.AccessData(3, addr, true, 40).cls, AccessClass::kL2Hit);
+  EXPECT_EQ(L2State(h, 3, addr), LineState::kModified);
   e = Entry(h, addr);
   ASSERT_NE(e, nullptr);
-  EXPECT_EQ(e->dirty_owner, 3);
+  EXPECT_EQ(e->owner, 3);
+  EXPECT_EQ(h.CheckDirectoryInvariants(), "");
+}
+
+// A peer's read of an Exclusive line downgrades the owner (a clean
+// fetch, not a cache-to-cache transfer); both copies end Shared.
+TEST(SmpDirectoryTest, PeerReadDowngradesTheOwnerAndBothEndShared) {
+  PrivateL2Hierarchy h(TinyConfig(4));
+  const uint64_t addr = 0xa000;
+  h.AccessData(0, addr, false, 0);
+  ASSERT_EQ(Entry(h, addr)->owner, 0);
+
+  EXPECT_EQ(h.AccessData(1, addr, false, 10).cls, AccessClass::kOffChip);
+  const DirEntry* e = Entry(h, addr);
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(e->owner, -1);
+  EXPECT_EQ(SharerWord0(h, e), 0b11u);
+  for (uint32_t n : {0u, 1u}) {
+    EXPECT_EQ(L2State(h, n, addr), LineState::kShared) << "node " << n;
+    EXPECT_EQ(L1DState(h, n, addr), LineState::kShared) << "node " << n;
+  }
+  EXPECT_EQ(h.stats().invalidations, 0u);
+  EXPECT_EQ(h.CheckDirectoryInvariants(), "");
+}
+
+// A write miss invalidates every holder and leaves the writer as the
+// line's Modified owner.
+TEST(SmpDirectoryTest, WriteMissMakesTheWriterOwner) {
+  PrivateL2Hierarchy h(TinyConfig(4));
+  const uint64_t addr = 0xb000;
+  for (uint32_t n = 0; n < 3; ++n) h.AccessData(n, addr, false, n);
+  ASSERT_EQ(Entry(h, addr)->owner, -1);
+
+  EXPECT_EQ(h.AccessData(3, addr, true, 10).cls, AccessClass::kOffChip);
+  const DirEntry* e = Entry(h, addr);
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(e->owner, 3);
+  EXPECT_EQ(SharerWord0(h, e), 0b1000u);
+  EXPECT_EQ(L2State(h, 3, addr), LineState::kModified);
+  EXPECT_EQ(h.stats().invalidations, 3u);
+  EXPECT_EQ(h.CheckDirectoryInvariants(), "");
+}
+
+// Evicting the owner's copy clears the owner, whether or not another
+// node (here an I-fetch Shared copy) keeps the entry alive.
+TEST(SmpDirectoryTest, EvictingTheOwnerClearsOwner) {
+  const HierarchyConfig cfg = TinyConfig(2);
+  PrivateL2Hierarchy h(cfg);
+  const uint64_t set_stride = cfg.l2.num_sets() * 64;
+  const uint64_t base = 0x80000;
+
+  h.AccessData(0, base, true, 0);  // Modified at node 0
+  h.AccessInstr(1, base, 1);       // Shared I-fetch copy at node 1
+  const DirEntry* e = Entry(h, base);
+  ASSERT_NE(e, nullptr);
+  ASSERT_EQ(e->owner, 0);
+  ASSERT_EQ(SharerWord0(h, e), 0b11u);
+
+  // 2-way L2 set: two more same-set fills at node 0 evict the owner.
+  h.AccessData(0, base + set_stride, false, 2);
+  h.AccessData(0, base + 2 * set_stride, false, 3);
+  EXPECT_EQ(L2State(h, 0, base), LineState::kInvalid);
+  e = Entry(h, base);
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(e->owner, -1);
+  EXPECT_EQ(SharerWord0(h, e), 0b10u);
+  EXPECT_EQ(h.CheckDirectoryInvariants(), "");
+}
+
+// I-fetch fills install Shared without snooping, so a line can be Shared
+// at one node while another holds it Exclusive. A third node's read must
+// downgrade only the owner; the I-fetch copy is left alone.
+TEST(SmpDirectoryTest, ReadBesideIFetchCopyDowngradesOnlyTheOwner) {
+  PrivateL2Hierarchy h(TinyConfig(4));
+  const uint64_t addr = 0xc000;
+  h.AccessData(0, addr, false, 0);  // Exclusive at node 0
+  h.AccessInstr(1, addr, 1);        // Shared I-fetch copy at node 1
+  const DirEntry* e = Entry(h, addr);
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(e->owner, 0);
+  EXPECT_EQ(L2State(h, 0, addr), LineState::kExclusive);
+  EXPECT_EQ(L2State(h, 1, addr), LineState::kShared);
+  EXPECT_EQ(h.CheckDirectoryInvariants(), "");
+
+  EXPECT_EQ(h.AccessData(2, addr, false, 10).cls, AccessClass::kOffChip);
+  e = Entry(h, addr);
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(e->owner, -1);
+  EXPECT_EQ(SharerWord0(h, e), 0b111u);
+  EXPECT_EQ(L2State(h, 0, addr), LineState::kShared);
+  EXPECT_EQ(L1DState(h, 0, addr), LineState::kShared);
+  EXPECT_EQ(L2State(h, 1, addr), LineState::kShared);
+  EXPECT_EQ(L2State(h, 2, addr), LineState::kShared);
+  EXPECT_EQ(L1DState(h, 2, addr), LineState::kShared);
+  EXPECT_EQ(h.stats().invalidations, 0u);
+  EXPECT_EQ(h.CheckDirectoryInvariants(), "");
+}
+
+// A read miss on a line with no owner changes no peer: every sharer's
+// L1D and L2 state and the invalidation counter stay as they were, and
+// the reader joins as one more Shared holder.
+TEST(SmpDirectoryTest, ReadMissOnSharedLineChangesNoPeer) {
+  constexpr uint32_t kSharers = 5;
+  PrivateL2Hierarchy h(TinyConfig(8));
+  const uint64_t addr = 0xd000;
+  for (uint32_t n = 0; n < kSharers; ++n) h.AccessData(n, addr, false, n);
+  ASSERT_EQ(Entry(h, addr)->owner, -1);
+  LineState l2_before[kSharers], l1_before[kSharers];
+  for (uint32_t n = 0; n < kSharers; ++n) {
+    l2_before[n] = L2State(h, n, addr);
+    l1_before[n] = L1DState(h, n, addr);
+    ASSERT_EQ(l2_before[n], LineState::kShared) << "node " << n;
+  }
+  const uint64_t inv_before = h.stats().invalidations;
+
+  EXPECT_EQ(h.AccessData(kSharers, addr, false, 10).cls,
+            AccessClass::kOffChip);
+  for (uint32_t n = 0; n < kSharers; ++n) {
+    EXPECT_EQ(L2State(h, n, addr), l2_before[n]) << "node " << n;
+    EXPECT_EQ(L1DState(h, n, addr), l1_before[n]) << "node " << n;
+  }
+  EXPECT_EQ(h.stats().invalidations, inv_before);
+  EXPECT_EQ(L2State(h, kSharers, addr), LineState::kShared);
+  const DirEntry* e = Entry(h, addr);
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(e->owner, -1);
+  EXPECT_EQ(SharerWord0(h, e), (1u << (kSharers + 1)) - 1);
   EXPECT_EQ(h.CheckDirectoryInvariants(), "");
 }
 
