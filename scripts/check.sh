@@ -1,34 +1,35 @@
 #!/usr/bin/env bash
-# Full verification: a static docs pass (link + spec drift), the tier-1
+# Full verification: a static docs pass (links, spec/flag/binary drift,
+# and a golden for every builtin spec but ablstaged), the tier-1
 # build/test pass (Release), then an ASan+UBSan Debug pass over the whole
-# test suite. Both build passes also run the sweep engine's smoke grid:
-# the tier-1 pass runs the cold-determinism matrix (golden JSON + CSV
-# byte-diffed across --threads 1/2/8, every set rebuilt from scratch
-# through the parallel build pool each time), emits BENCH perf
-# trajectories for both the cold build+sim path and the warm replay path
-# (cells/sec, wall-clock), runs an
-# observability pass (metrics + span timeline on, golden re-diffed,
-# counters cross-checked against the perf summary), exercises sharded
-# execution (cold shards + merge re-diffed against the golden; warm
-# shards off one mapped bundle re-diffed against the unsharded run's
-# full deterministic bytes, for both the smoke and skew grids), diffs
-# the smokesmp grid against its golden (its directory-vs-snoop arm
-# equivalence is pinned by the SmokeSmpArmsTest ctest in
-# tests/test_directory_equivalence.cc), diffs the paper-figure grids
-# (fig2, fig3, fig4, fig6, fig7, fig8, fig8smp, ablstreambuf) and the
-# burst grid against their goldens, runs the 1024-node CMP-vs-SMP
-# shootout grid cold at three thread counts plus a warm re-diff (and
-# cross-checks the SMP bus-model counters against the per-cell sweep
-# output, and gates warm replay of its 1024-node cells against
-# BENCH_sweep_largen.json), and the sanitizer pass diffs the
-# process-invariant --golden JSON against tests/golden/sweep_smoke.json.
-# An optional ThreadSanitizer pass races the parallel cold build under
-# TSan.
+# test suite. After ctest the tier-1 pass runs:
+#   * the golden loop: every tests/golden/sweep_*.json re-diffed cold at
+#     --threads 1/2/4/8 (each run rebuilds every trace set through the
+#     parallel build pool) and once more warm off the bundle the 8-thread
+#     run wrote;
+#   * smoke's CSV, byte-identical across --threads 1/2/8 (no golden);
+#   * sharded execution: cold shards + merge re-diffed against the
+#     golden, and warm shards off one mapped bundle re-diffed against
+#     the unsharded run's full deterministic bytes, for smoke and skew;
+#   * an observability pass (metrics + span timeline on, golden
+#     re-diffed, counters cross-checked against the perf summary), the
+#     shootout bus-model counters against the per-cell output, and
+#     skew's traffic/YCSB counters;
+#   * perf gates: warm smoke replay (BENCH_sweep.json), cold smoke
+#     build+sim (BENCH_sweep_cold.json) and warm replay of shootout's
+#     1024-node cells (BENCH_sweep_largen.json).
+# The sanitizer pass diffs the process-invariant --golden JSON against
+# tests/golden/sweep_smoke.json. An optional ThreadSanitizer pass races
+# the parallel cold build under TSan.
 #
 #   scripts/check.sh              # docs + tier-1 + ASan/UBSan passes
 #   scripts/check.sh --tier1      # docs + tier-1 only
 #   scripts/check.sh --sanitize   # docs + sanitizer pass only
 #   scripts/check.sh --tsan       # docs + ThreadSanitizer pass only
+#
+#   STAGEDCMP_SKIP_PERF_GATE=1            # report the perf gates, never fail
+#   STAGEDCMP_UPDATE_PERF_BASELINE=largen # re-record the named gates'
+#                                         # baselines (never downward)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -43,6 +44,20 @@ case "${1:-}" in
   "") ;;
   *) echo "usage: $0 [--tier1|--sanitize|--tsan]" >&2; exit 2 ;;
 esac
+
+# STAGEDCMP_UPDATE_PERF_BASELINE names the perf gates (warm, cold,
+# largen; comma- or space-separated) whose committed baseline this run
+# may raise. Checked up front, so a typo fails before a long run.
+update_gates="${STAGEDCMP_UPDATE_PERF_BASELINE:-}"
+update_gates="${update_gates//,/ }"
+for g in $update_gates; do
+  case "$g" in
+    warm|cold|largen) ;;
+    *) echo "STAGEDCMP_UPDATE_PERF_BASELINE: unknown gate '$g'" \
+            "(name one or more of: warm cold largen)" >&2
+       exit 2 ;;
+  esac
+done
 
 jobs=$(nproc 2>/dev/null || echo 4)
 
@@ -139,29 +154,49 @@ if [[ $run_tier1 -eq 1 ]]; then
   cmake --build build -j "$jobs"
   ctest --test-dir build --output-on-failure -j "$jobs"
 
-  echo "==> sweep smoke grid: cold-determinism matrix (--threads 1/2/8)"
-  # Every run below is COLD — no trace bundle in play, every trace set
-  # regenerated from scratch through the parallel build pool — so the
-  # byte-diffs pin that the number of build workers cannot leak into the
-  # golden JSON or CSV output. The final (8-thread) run also writes the
-  # trace bundle the warm pass replays from and the cold perf summary
-  # the gate below checks.
-  rm -f build/smoke.traces
-  for t in 1 2; do
-    ./build/bench/sweep_main --spec smoke --threads "$t" --golden \
-      --out "build/sweep_smoke_golden_t$t.json"
-    diff -u tests/golden/sweep_smoke.json "build/sweep_smoke_golden_t$t.json"
+  echo "==> goldens: every tests/golden/sweep_*.json, cold at --threads 1/2/4/8 + warm"
+  # One loop over the committed goldens (the docs pass above requires
+  # one per builtin spec but ablstaged). Every cold run rebuilds every
+  # trace set from scratch through the parallel build pool, so the
+  # byte-diffs pin that the number of build workers never leaks into
+  # the golden output. The 8-thread run also writes build/SPEC.traces
+  # (the bundle the warm re-diff and the shard, observability, bus and
+  # large-n stages below replay) and build/SPEC_cold_perf.json (perf
+  # summary plus metrics snapshot: the cold gate reads smoke's, the
+  # traffic counter check skew's). The warm re-diff must really have
+  # been served from the bundle.
+  for golden in tests/golden/sweep_*.json; do
+    s=$(basename "$golden" .json)
+    s=${s#sweep_}
+    rm -f "build/$s.traces"
+    for t in 1 2 4 8; do
+      extra=()
+      if [[ $t -eq 8 ]]; then
+        extra=(--trace-bundle "build/$s.traces"
+               --perf-out "build/${s}_cold_perf.json")
+      fi
+      ./build/bench/sweep_main --spec "$s" --threads "$t" --golden \
+        "${extra[@]}" --out "build/sweep_${s}_golden_t$t.json"
+      diff -u "$golden" "build/sweep_${s}_golden_t$t.json"
+    done
+    ./build/bench/sweep_main --spec "$s" --threads 8 --golden \
+      --trace-bundle "build/$s.traces" \
+      --perf-out "build/${s}_warm_perf.json" \
+      --out "build/sweep_${s}_warm.json"
+    diff -u "$golden" "build/sweep_${s}_warm.json"
+    if ! grep -q '"trace_bundle": "warm"' "build/${s}_warm_perf.json"; then
+      echo "FAIL: $s warm re-diff was not served from its bundle" >&2
+      exit 1
+    fi
+    echo "    $s OK"
+  done
+
+  echo "==> sweep smoke grid: CSV identical across --threads 1/2/8 (cold)"
+  # CSV has no committed golden; cross-thread-count identity is the pin.
+  for t in 1 2 8; do
     ./build/bench/sweep_main --spec smoke --threads "$t" --golden \
       --format csv --out "build/sweep_smoke_golden_t$t.csv"
   done
-  ./build/bench/sweep_main --spec smoke --threads 8 --golden \
-    --trace-bundle build/smoke.traces \
-    --perf-out build/BENCH_sweep_cold_fresh.json \
-    --out build/sweep_smoke_golden_t8.json
-  diff -u tests/golden/sweep_smoke.json build/sweep_smoke_golden_t8.json
-  ./build/bench/sweep_main --spec smoke --threads 8 --golden \
-    --format csv --out build/sweep_smoke_golden_t8.csv
-  # CSV has no committed golden; cross-thread-count identity is the pin.
   diff -u build/sweep_smoke_golden_t1.csv build/sweep_smoke_golden_t2.csv
   diff -u build/sweep_smoke_golden_t1.csv build/sweep_smoke_golden_t8.csv
 
@@ -272,56 +307,11 @@ EOF
     echo "    python3 not found; skipping observability JSON cross-checks"
   fi
 
-  echo "==> sweep smokesmp grid: cold golden"
-  # The directory-vs-snoop arm equivalence on this grid is a ctest
-  # (SmokeSmpArmsTest in tests/test_directory_equivalence.cc); this pins
-  # the SMP grid's process-invariant output.
-  ./build/bench/sweep_main --spec smokesmp --threads 4 --golden \
-    --out build/sweep_smokesmp_golden.json
-  diff -u tests/golden/sweep_smokesmp.json build/sweep_smokesmp_golden.json
-
-  echo "==> paper-figure grids: cold goldens"
-  # The builtin specs behind the paper's Figures 2-4 and 6-8, the
-  # stream-buffer ablation and the burst grid, each rebuilt cold and
-  # diffed against its process-invariant golden. (ablstaged has none:
-  # its staged cells' trace totals still depend on heap placement; see
-  # ROADMAP.md.)
-  for s in fig2 fig3 fig4 fig6 fig7 fig8 fig8smp ablstreambuf burst; do
-    ./build/bench/sweep_main --spec "$s" --threads 4 --golden \
-      --out "build/sweep_${s}_golden.json"
-    diff -u "tests/golden/sweep_$s.json" "build/sweep_${s}_golden.json"
-  done
-
-  echo "==> sweep shootout grid: cold golden (--threads 1/2/8) + warm re-diff"
-  # The CMP-vs-SMP scaling shootout runs both topologies to 1024 nodes
-  # with the SMP shared-bus occupancy model on (the queue-delay knee).
-  # Cold runs at three thread counts must agree on the committed golden
-  # bytes; the warm run re-diffs it off the bundle the 8-thread cold run
-  # wrote. The flat-latency reference arm's bytes are pinned separately:
-  # every pre-existing (<=64-node) golden above re-diffing unchanged is
-  # what proves the sharers-bitset widening and the bus-model plumbing
-  # are pure representation changes for the historical specs.
-  rm -f build/shootout.traces
-  for t in 1 2; do
-    ./build/bench/sweep_main --spec shootout --threads "$t" --golden \
-      --out "build/sweep_shootout_golden_t$t.json"
-    diff -u tests/golden/sweep_shootout.json \
-      "build/sweep_shootout_golden_t$t.json"
-  done
-  ./build/bench/sweep_main --spec shootout --threads 8 --golden \
-    --trace-bundle build/shootout.traces \
-    --out build/sweep_shootout_golden_t8.json
-  diff -u tests/golden/sweep_shootout.json build/sweep_shootout_golden_t8.json
-  ./build/bench/sweep_main --spec shootout --threads 8 --golden \
-    --trace-bundle build/shootout.traces \
-    --out build/sweep_shootout_warm.json
-  diff -u tests/golden/sweep_shootout.json build/sweep_shootout_warm.json
-
   echo "==> sweep shootout grid: large-n BENCH trajectory (warm, 1024 nodes)"
   # Shard 3/4 holds exactly the four 1024-node cells (nodes is the
   # fastest-varying axis): the replay path whose per-event cost grows
-  # with node count. Warm off the bundle above, so the gate below
-  # watches replay throughput at n = 1024 only.
+  # with node count. Warm off the golden loop's shootout bundle, so the
+  # gate below watches replay throughput at n = 1024 only.
   ./build/bench/sweep_main --spec shootout --threads 4 --shard 3/4 \
     --format json --trace-bundle build/shootout.traces --out /dev/null \
     --perf-out build/BENCH_sweep_largen_fresh.json
@@ -361,31 +351,6 @@ EOF
     echo "    python3 not found; skipping bus counter cross-checks"
   fi
 
-  echo "==> sweep skew grid: cold-determinism matrix (--threads 1/2/8)"
-  # The skew grid exercises the traffic subsystem end to end: Zipfian key
-  # popularity over OLTP and YCSB, staged and unstaged engines. Like the
-  # smoke matrix every run is cold (each trace set regenerated through
-  # the parallel build pool), so the byte-diffs pin that shaped builds
-  # are pure functions of their config too. The last run writes the
-  # bundle for the warm re-diff and the traffic/YCSB counter check.
-  rm -f build/skew.traces
-  for t in 1 2; do
-    ./build/bench/sweep_main --spec skew --threads "$t" --golden \
-      --out "build/sweep_skew_golden_t$t.json"
-    diff -u tests/golden/sweep_skew.json "build/sweep_skew_golden_t$t.json"
-  done
-  ./build/bench/sweep_main --spec skew --threads 8 --golden \
-    --trace-bundle build/skew.traces \
-    --metrics-out build/skew_metrics.json \
-    --out build/sweep_skew_golden_t8.json
-  diff -u tests/golden/sweep_skew.json build/sweep_skew_golden_t8.json
-  # Warm replay from the bundle reproduces the same golden bytes: the
-  # traffic knobs round-trip through the bundle header.
-  ./build/bench/sweep_main --spec skew --threads 8 --golden \
-    --trace-bundle build/skew.traces \
-    --out build/sweep_skew_warm.json
-  diff -u tests/golden/sweep_skew.json build/sweep_skew_warm.json
-
   echo "==> sharded execution: skew grid, cold golden + warm full metrics"
   # Same two-pass discipline as the smoke grid, over the shaped-traffic
   # specs: cold shards reassemble the committed golden; warm shards off
@@ -407,13 +372,13 @@ EOF
   ./build/bench/sweep_main --merge build/sweep_skew_warm_merged.json \
     build/skew_warm_shard0.json build/skew_warm_shard1.json --format json
   diff -u build/sweep_skew_warm_det.json build/sweep_skew_warm_merged.json
-  # Shaper/driver observability: a COLD run must surface the traffic.*
-  # and ycsb.* counter families (warm runs build nothing, so they are
-  # absent there by design).
+  # Shaper/driver observability: a COLD run (the golden loop's 8-thread
+  # skew run) must surface the traffic.* and ycsb.* counter families
+  # (warm runs build nothing, so they are absent there by design).
   if command -v python3 >/dev/null 2>&1; then
     python3 - <<'EOF'
 import json
-c = json.load(open("build/skew_metrics.json"))["counters"]
+c = json.load(open("build/skew_cold_perf.json"))["metrics"]["counters"]
 assert c.get("traffic.keys_generated", 0) > 0, "no traffic.keys_generated"
 assert c.get("traffic.hot_set_hits", 0) > 0, "no traffic.hot_set_hits"
 assert c.get("ycsb.requests", 0) > 0, "no ycsb.requests"
@@ -425,20 +390,6 @@ EOF
   else
     echo "    python3 not found; skipping traffic counter cross-checks"
   fi
-
-  echo "==> sweep tenants grid: cold golden + warm bundle round-trip"
-  # Multi-tenant cells carry the tenancy boundary through the bundle and
-  # emit per-tenant attribution; cold and warm runs must agree on the
-  # golden bytes.
-  rm -f build/tenants.traces
-  ./build/bench/sweep_main --spec tenants --threads 4 --golden \
-    --trace-bundle build/tenants.traces \
-    --out build/sweep_tenants_golden.json
-  diff -u tests/golden/sweep_tenants.json build/sweep_tenants_golden.json
-  ./build/bench/sweep_main --spec tenants --threads 4 --golden \
-    --trace-bundle build/tenants.traces \
-    --out build/sweep_tenants_warm.json
-  diff -u tests/golden/sweep_tenants.json build/sweep_tenants_warm.json
 
   echo "==> perf gates: warm replay, cold build, large-n replay; 20% budget"
   # Each gate compares absolute cells/sec against a baseline committed
@@ -472,12 +423,13 @@ EOF
         exit 1
       fi
     fi
-    # The committed baseline only changes on explicit request (run on the
-    # CI container: STAGEDCMP_UPDATE_PERF_BASELINE=1 scripts/check.sh),
+    # The committed baseline only changes on explicit request, one named
+    # gate at a time (run on the CI container, e.g.
+    # STAGEDCMP_UPDATE_PERF_BASELINE=largen scripts/check.sh --tier1),
     # and even then never downward — otherwise a faster dev machine would
     # silently commit numbers every other machine then fails against, and
     # noisy slower runs would ratchet the gate loose.
-    if [[ "${STAGEDCMP_UPDATE_PERF_BASELINE:-0}" == "1" ]] \
+    if [[ " $update_gates " == *" $label "* ]] \
        && awk -v f="$fresh" -v b="$baseline" 'BEGIN { exit (f >= b) ? 0 : 1 }'
     then
       cp "$fresh_file" "$baseline_file"
@@ -485,7 +437,7 @@ EOF
     fi
   }
   gate_cps warm BENCH_sweep.json build/BENCH_sweep_fresh.json
-  gate_cps cold BENCH_sweep_cold.json build/BENCH_sweep_cold_fresh.json
+  gate_cps cold BENCH_sweep_cold.json build/smoke_cold_perf.json
   gate_cps largen BENCH_sweep_largen.json build/BENCH_sweep_largen_fresh.json
   cat build/BENCH_sweep_fresh.json
 fi

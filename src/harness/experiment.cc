@@ -1,6 +1,7 @@
 #include "harness/experiment.h"
 
 #include <cassert>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -16,6 +17,18 @@ const char* WorkloadName(WorkloadKind w) {
     case WorkloadKind::kYcsb: return "YCSB";
   }
   return "?";
+}
+
+TraceSetConfig::Identity TraceSetConfig::Key() const {
+  uint64_t theta_bits = 0;
+  static_assert(sizeof(theta_bits) == sizeof(traffic.zipf_theta));
+  std::memcpy(&theta_bits, &traffic.zipf_theta, sizeof(theta_bits));
+  return {static_cast<uint64_t>(workload), clients, requests_per_client,
+          seed, static_cast<uint64_t>(engine),
+          static_cast<uint64_t>(traffic.key_dist), theta_bits,
+          traffic.hot_rotate_period, static_cast<uint64_t>(traffic.arrival),
+          traffic.burst_on, traffic.burst_off, traffic.think_instructions,
+          static_cast<uint64_t>(tenant2_workload), tenant2_clients};
 }
 
 TraceSet WorkloadFactory::Build(const TraceSetConfig& config) const {

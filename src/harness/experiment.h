@@ -4,6 +4,8 @@
 #ifndef STAGEDCMP_HARNESS_EXPERIMENT_H_
 #define STAGEDCMP_HARNESS_EXPERIMENT_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -46,6 +48,19 @@ struct TraceSetConfig {
   /// TraceSet carries the attribution boundary for the replay engine.
   WorkloadKind tenant2_workload = WorkloadKind::kOltp;
   uint32_t tenant2_clients = 0;
+
+  static constexpr size_t kKeyWords = 14;
+  using Identity = std::array<uint64_t, kKeyWords>;
+  /// Canonical identity: THE definition of "same trace set", and the only
+  /// place that lists the fields above for it. The trace-set cache keys
+  /// on it, the sweep runner dedups by it, the trace bundle header
+  /// records it per set (these words, in this order, are format v3's
+  /// config block) and the shard spec fingerprint mixes it. Every field
+  /// is part of the identity; the theta double enters by bit pattern, so
+  /// any distinct representable skew is a distinct trace set. A new
+  /// field goes here (and grows kKeyWords, which changes the bundle
+  /// format and the shard fingerprint).
+  Identity Key() const;
 };
 
 /// A set of per-client traces plus the database they were recorded against.

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <exception>
 #include <future>
+#include <map>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -62,23 +63,18 @@ std::string ConfigLabel(const harness::TraceSetConfig& c) {
 /// The distinct trace-set configs of `cells` in canonical (first-use)
 /// order — the build-pool submission order and the unit a trace bundle
 /// persists. Also fills `cfg_of`: for each cell, the index of its config
-/// in the returned vector. Identity is TraceSetCache::MakeKey, the same
-/// equivalence Get() dedups by.
+/// in the returned vector. Identity is TraceSetConfig::Key(), the same
+/// equivalence the cache keys on.
 std::vector<harness::TraceSetConfig> DistinctConfigs(
     const std::vector<Cell>& cells, std::vector<size_t>* cfg_of) {
   std::vector<harness::TraceSetConfig> out;
+  std::map<harness::TraceSetConfig::Identity, size_t> index_of;
   cfg_of->resize(cells.size());
   for (size_t i = 0; i < cells.size(); ++i) {
-    size_t found = out.size();
-    for (size_t j = 0; j < out.size(); ++j) {
-      if (TraceSetCache::MakeKey(out[j]) ==
-          TraceSetCache::MakeKey(cells[i].trace)) {
-        found = j;
-        break;
-      }
-    }
-    if (found == out.size()) out.push_back(cells[i].trace);
-    (*cfg_of)[i] = found;
+    const auto [it, inserted] =
+        index_of.emplace(cells[i].trace.Key(), out.size());
+    if (inserted) out.push_back(cells[i].trace);
+    (*cfg_of)[i] = it->second;
   }
   return out;
 }
@@ -120,7 +116,7 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
 
   TraceSetCache private_cache(factory_, options_.metrics);
   TraceSetCache& cache = shared_cache_ ? *shared_cache_ : private_cache;
-  const uint64_t builds_before = cache.stats().builds;
+  const uint64_t builds_before = cache.builds();
 
   // Sharding: the FULL spec is always expanded and deduplicated, so
   // canonical cell indices and the distinct-config (= bundle build)
@@ -335,7 +331,7 @@ SweepReport SweepRunner::Run(const SweepSpec& spec) {
     for (std::thread& t : pool) t.join();
   }
   report.sim_wall_seconds = SecondsSince(sim_t0);
-  report.trace_sets_built = cache.stats().builds - builds_before;
+  report.trace_sets_built = cache.builds() - builds_before;
   if (demoted.load(std::memory_order_relaxed)) report.bundle = "partial";
 
   // A cold run with a bundle path persists what it just built (every

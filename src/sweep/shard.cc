@@ -13,6 +13,7 @@
 #include "coresim/breakdown.h"
 #include "memsim/hierarchy.h"
 #include "sweep/sinks.h"
+#include "sweep/trace_bundle.h"
 
 namespace stagedcmp::sweep {
 
@@ -26,19 +27,11 @@ constexpr int kShardSchema = 2;
 constexpr int kNumClasses = static_cast<int>(memsim::AccessClass::kCount);
 constexpr int kNumBuckets = static_cast<int>(coresim::Bucket::kCount);
 
-/// FNV-style mixer (the trace-bundle chain) for the spec fingerprint.
-struct Mix64 {
-  uint64_t state = 0xcbf29ce484222325ULL;
-  void Mix(uint64_t v) {
-    state ^= v;
-    state *= 0x100000001B3ULL;
-    state ^= state >> 29;
-  }
-  void MixStr(const std::string& s) {
-    Mix(s.size());
-    for (char c : s) Mix(static_cast<uint8_t>(c));
-  }
-};
+/// Length-prefixed string into the fingerprint's FNV chain.
+void MixStr(FnvChain* m, const std::string& s) {
+  m->Mix(s.size());
+  for (char c : s) m->Mix(static_cast<uint8_t>(c));
+}
 
 /// Hash of the expanded grid: spec name, axis names, and every cell's
 /// index, value labels and full resolved configs. Two binaries agree on
@@ -47,33 +40,17 @@ struct Mix64 {
 uint64_t SpecFingerprint(const std::string& spec_name,
                          const std::vector<std::string>& axis_names,
                          const std::vector<const Cell*>& cells) {
-  Mix64 m;
-  m.MixStr(spec_name);
+  FnvChain m;
+  MixStr(&m, spec_name);
   m.Mix(axis_names.size());
-  for (const std::string& a : axis_names) m.MixStr(a);
+  for (const std::string& a : axis_names) MixStr(&m, a);
   m.Mix(cells.size());
   for (const Cell* cp : cells) {
     const Cell& c = *cp;
     m.Mix(c.index);
     m.Mix(c.values.size());
-    for (const std::string& v : c.values) m.MixStr(v);
-    const harness::TraceSetConfig& tc = c.trace;
-    uint64_t theta_bits = 0;
-    std::memcpy(&theta_bits, &tc.traffic.zipf_theta, sizeof(theta_bits));
-    for (uint64_t v :
-         {static_cast<uint64_t>(tc.workload), static_cast<uint64_t>(tc.clients),
-          static_cast<uint64_t>(tc.requests_per_client), tc.seed,
-          static_cast<uint64_t>(tc.engine),
-          static_cast<uint64_t>(tc.traffic.key_dist), theta_bits,
-          static_cast<uint64_t>(tc.traffic.hot_rotate_period),
-          static_cast<uint64_t>(tc.traffic.arrival),
-          static_cast<uint64_t>(tc.traffic.burst_on),
-          static_cast<uint64_t>(tc.traffic.burst_off),
-          static_cast<uint64_t>(tc.traffic.think_instructions),
-          static_cast<uint64_t>(tc.tenant2_workload),
-          static_cast<uint64_t>(tc.tenant2_clients)}) {
-      m.Mix(v);
-    }
+    for (const std::string& v : c.values) MixStr(&m, v);
+    for (uint64_t v : c.trace.Key()) m.Mix(v);
     const harness::ExperimentConfig& ec = c.exp;
     for (uint64_t v :
          {static_cast<uint64_t>(ec.camp), static_cast<uint64_t>(ec.cores),

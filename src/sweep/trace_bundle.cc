@@ -3,7 +3,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <utility>
 
@@ -28,22 +27,6 @@ constexpr uint64_t kAlign = 64;
 constexpr uint64_t Align64(uint64_t bytes) {
   return (bytes + (kAlign - 1)) & ~(kAlign - 1);
 }
-
-/// FNV-style running checksum. v3 uses one fresh chain per region: the
-/// header words (so stale/corrupt indexes are rejected before any view
-/// is handed out) and each trace's payload words (so corruption
-/// localizes to one set, which alone demotes to a cold rebuild).
-struct Checksum {
-  uint64_t state = 0xcbf29ce484222325ULL;
-  void Mix(uint64_t v) {
-    state ^= v;
-    state *= 0x100000001B3ULL;
-    state ^= state >> 29;
-  }
-  void MixAll(const uint64_t* p, size_t n) {
-    for (size_t i = 0; i < n; ++i) Mix(p[i]);
-  }
-};
 
 struct FileCloser {
   void operator()(std::FILE* f) const {
@@ -70,18 +53,6 @@ std::vector<uint64_t> ScaleBlock(const harness::WorkloadFactory& factory) {
           yc.update_pct,        yc.insert_pct,
           yc.scan_pct,          yc.scan_len,
           yc.ops_per_request,   yc.load_seed};
-}
-
-std::vector<uint64_t> ConfigBlock(const harness::TraceSetConfig& c) {
-  uint64_t theta_bits = 0;
-  std::memcpy(&theta_bits, &c.traffic.zipf_theta, sizeof(theta_bits));
-  return {static_cast<uint64_t>(c.workload), c.clients,
-          c.requests_per_client, c.seed, static_cast<uint64_t>(c.engine),
-          static_cast<uint64_t>(c.traffic.key_dist), theta_bits,
-          c.traffic.hot_rotate_period,
-          static_cast<uint64_t>(c.traffic.arrival), c.traffic.burst_on,
-          c.traffic.burst_off, c.traffic.think_instructions,
-          static_cast<uint64_t>(c.tenant2_workload), c.tenant2_clients};
 }
 
 /// One trace's index row as recorded in the v3 header.
@@ -111,7 +82,7 @@ bool ParseHeader(const uint64_t* words, uint64_t n_words,
                  const std::vector<harness::TraceSetConfig>& expected,
                  std::vector<SetIndex>* out) {
   const uint64_t file_bytes = n_words * 8;
-  Checksum sum;
+  FnvChain sum;
   uint64_t words_read = 0;
   uint64_t v = 0;
   const auto get = [&](uint64_t* dst) {
@@ -129,7 +100,7 @@ bool ParseHeader(const uint64_t* words, uint64_t n_words,
   out->clear();
   out->reserve(expected.size());
   for (const harness::TraceSetConfig& cfg : expected) {
-    for (uint64_t want : ConfigBlock(cfg)) {
+    for (uint64_t want : cfg.Key()) {
       if (!get(&v) || v != want) return false;
     }
     SetIndex si;
@@ -245,7 +216,8 @@ bool SaveTraceBundle(const std::string& path,
     // is written.
     uint64_t header_words = 2 + ScaleBlock(factory).size() + 1 + 1;
     for (const harness::TraceSet* ts : sets) {
-      header_words += 14 + 3 + 5 * ts->traces.size();
+      header_words +=
+          harness::TraceSetConfig::kKeyWords + 3 + 5 * ts->traces.size();
     }
     const uint64_t header_end = Align64(header_words * 8);
 
@@ -258,12 +230,12 @@ bool SaveTraceBundle(const std::string& path,
     put(sets.size());
     uint64_t cursor = header_end;
     for (const harness::TraceSet* ts : sets) {
-      for (uint64_t v : ConfigBlock(ts->config)) put(v);
+      for (uint64_t v : ts->config.Key()) put(v);
       put(ts->total_instructions);
       put(ts->total_events);
       put(ts->traces.size());
       for (const trace::ClientTrace& t : ts->traces) {
-        Checksum payload_sum;
+        FnvChain payload_sum;
         payload_sum.MixAll(t.events_data(), t.events_size());
         put(t.requests);
         put(t.total_instructions);
@@ -273,7 +245,7 @@ bool SaveTraceBundle(const std::string& path,
         cursor += Align64(t.events_size() * 8);
       }
     }
-    Checksum header_sum;
+    FnvChain header_sum;
     header_sum.MixAll(hdr.data(), hdr.size());
     put(header_sum.state);
 
@@ -314,7 +286,7 @@ bool VerifyBundleSet(const harness::TraceSet& set,
                      const std::vector<uint64_t>& checksums) {
   if (checksums.size() != set.traces.size()) return false;
   for (size_t i = 0; i < set.traces.size(); ++i) {
-    Checksum sum;
+    FnvChain sum;
     sum.MixAll(set.traces[i].events_data(), set.traces[i].events_size());
     if (sum.state != checksums[i]) return false;
   }

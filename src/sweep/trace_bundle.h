@@ -43,6 +43,7 @@
 #ifndef STAGEDCMP_SWEEP_TRACE_BUNDLE_H_
 #define STAGEDCMP_SWEEP_TRACE_BUNDLE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -50,6 +51,23 @@
 #include "harness/experiment.h"
 
 namespace stagedcmp::sweep {
+
+/// FNV-style running hash over 64-bit words. The bundle uses one fresh
+/// chain per region: the header words (so stale/corrupt indexes are
+/// rejected before any view is handed out) and each trace's payload
+/// words (so corruption localizes to one set, which alone demotes to a
+/// cold rebuild). The shard spec fingerprint is the same chain.
+struct FnvChain {
+  uint64_t state = 0xcbf29ce484222325ULL;
+  void Mix(uint64_t v) {
+    state ^= v;
+    state *= 0x100000001B3ULL;
+    state ^= state >> 29;
+  }
+  void MixAll(const uint64_t* p, size_t n) {
+    for (size_t i = 0; i < n; ++i) Mix(p[i]);
+  }
+};
 
 /// Outcome of OpenTraceBundle. `sets` is parallel to the expected config
 /// sequence; `mode` records whether the bundle served them:

@@ -1,7 +1,6 @@
 #include "sweep/trace_cache.h"
 
 #include <chrono>
-#include <cstring>
 #include <utility>
 
 namespace stagedcmp::sweep {
@@ -33,22 +32,8 @@ TraceSetCache::TraceSetCache(const harness::WorkloadFactory* factory,
   }
 }
 
-TraceSetCache::Key TraceSetCache::MakeKey(const harness::TraceSetConfig& c) {
-  uint64_t theta_bits = 0;
-  static_assert(sizeof(theta_bits) == sizeof(c.traffic.zipf_theta));
-  std::memcpy(&theta_bits, &c.traffic.zipf_theta, sizeof(theta_bits));
-  const TrafficKey traffic(static_cast<uint8_t>(c.traffic.key_dist),
-                           theta_bits, c.traffic.hot_rotate_period,
-                           static_cast<uint8_t>(c.traffic.arrival),
-                           c.traffic.burst_on, c.traffic.burst_off,
-                           c.traffic.think_instructions);
-  return Key(static_cast<uint8_t>(c.workload), c.clients,
-             c.requests_per_client, c.seed, static_cast<uint8_t>(c.engine),
-             traffic, static_cast<uint8_t>(c.tenant2_workload),
-             c.tenant2_clients);
-}
-
-std::shared_ptr<TraceSetCache::Entry> TraceSetCache::EntryFor(const Key& key) {
+std::shared_ptr<TraceSetCache::Entry> TraceSetCache::EntryFor(
+    const harness::TraceSetConfig::Identity& key) {
   {
     std::shared_lock<std::shared_mutex> lock(mu_);
     auto it = cache_.find(key);
@@ -63,7 +48,7 @@ std::shared_ptr<TraceSetCache::Entry> TraceSetCache::EntryFor(const Key& key) {
 const harness::TraceSet& TraceSetCache::Get(
     const harness::TraceSetConfig& config) {
   if (lookups_ != nullptr) lookups_->Add(1);
-  std::shared_ptr<Entry> entry = EntryFor(MakeKey(config));
+  std::shared_ptr<Entry> entry = EntryFor(config.Key());
   // Read `ready` before entering the once_flag: false here followed by
   // !built_now below means this caller blocked on another thread's
   // in-flight build (a rendezvous). The acquire pairs with the release
@@ -87,37 +72,27 @@ const harness::TraceSet& TraceSetCache::Get(
   });
   if (built_now) {
     if (miss_ctr_ != nullptr) miss_ctr_->Add(1);
-  } else {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    if (hit_ctr_ != nullptr) {
-      hit_ctr_->Add(1);
-      if (!was_ready) {
-        // Blocked behind the builder: a hit (nothing was built for this
-        // caller) but one worth surfacing — rendezvous time is the
-        // pipeline's build/sim overlap shortfall.
-        rendezvous_ctr_->Add(1);
-        rendezvous_wait_us_->Record(MicrosSince(wait_t0));
-      }
+  } else if (hit_ctr_ != nullptr) {
+    hit_ctr_->Add(1);
+    if (!was_ready) {
+      // Blocked behind the builder: a hit (nothing was built for this
+      // caller) but one worth surfacing — rendezvous time is the
+      // pipeline's build/sim overlap shortfall.
+      rendezvous_ctr_->Add(1);
+      rendezvous_wait_us_->Record(MicrosSince(wait_t0));
     }
   }
   return *entry->set;
 }
 
 const harness::TraceSet& TraceSetCache::Insert(harness::TraceSet&& set) {
-  std::shared_ptr<Entry> entry = EntryFor(MakeKey(set.config));
+  std::shared_ptr<Entry> entry = EntryFor(set.config.Key());
   std::call_once(entry->once, [&] {
     entry->set = std::make_unique<harness::TraceSet>(std::move(set));
     entry->ready.store(true, std::memory_order_release);
     if (insert_ctr_ != nullptr) insert_ctr_->Add(1);
   });
   return *entry->set;
-}
-
-TraceSetCache::Stats TraceSetCache::stats() const {
-  Stats s;
-  s.hits = hits_.load(std::memory_order_relaxed);
-  s.builds = builds_.load(std::memory_order_relaxed);
-  return s;
 }
 
 }  // namespace stagedcmp::sweep

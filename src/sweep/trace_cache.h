@@ -26,7 +26,7 @@
 // rendezvous_wait_us). Invariants, checked by tests and scripts/check.sh:
 // lookups == hits + misses; misses == builds-by-Get; a caller that blocks
 // on another thread's in-flight build counts as a hit AND a
-// rendezvous_wait. The legacy stats() accessor is unchanged.
+// rendezvous_wait. Without a registry the cache counts only builds().
 #ifndef STAGEDCMP_SWEEP_TRACE_CACHE_H_
 #define STAGEDCMP_SWEEP_TRACE_CACHE_H_
 
@@ -36,7 +36,6 @@
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
-#include <tuple>
 
 #include "common/metrics.h"
 #include "harness/experiment.h"
@@ -59,24 +58,10 @@ class TraceSetCache {
   /// is already cached the existing entry wins and `set` is dropped.
   const harness::TraceSet& Insert(harness::TraceSet&& set);
 
-  struct Stats {
-    uint64_t hits = 0;    ///< Get() calls served from the cache
-    uint64_t builds = 0;  ///< distinct configs actually built
-  };
-  Stats stats() const;
-
-  /// Canonical identity of a TraceSetConfig — THE definition of "same
-  /// trace set" (the runner's dedup and the bundle sequence match both
-  /// go through it, so a new config field only needs adding here and in
-  /// the bundle serializer). Traffic shaping and tenancy are part of the
-  /// identity: the theta double enters by bit pattern, so any distinct
-  /// representable skew is a distinct trace set.
-  using TrafficKey =
-      std::tuple<uint8_t, uint64_t, uint32_t, uint8_t, uint32_t, uint32_t,
-                 uint32_t>;
-  using Key = std::tuple<uint8_t, uint32_t, uint32_t, uint64_t, uint8_t,
-                         TrafficKey, uint8_t, uint32_t>;
-  static Key MakeKey(const harness::TraceSetConfig& c);
+  /// Distinct configs this cache has built (Insert() builds nothing).
+  uint64_t builds() const {
+    return builds_.load(std::memory_order_relaxed);
+  }
 
  private:
   /// One cache slot. The once_flag serializes same-config builders while
@@ -92,12 +77,14 @@ class TraceSetCache {
   };
 
   /// Finds or creates the (possibly not-yet-built) entry for `key`.
-  std::shared_ptr<Entry> EntryFor(const Key& key);
+  std::shared_ptr<Entry> EntryFor(
+      const harness::TraceSetConfig::Identity& key);
 
   const harness::WorkloadFactory* factory_;
   mutable std::shared_mutex mu_;  ///< guards cache_ structure only
-  std::map<Key, std::shared_ptr<Entry>> cache_;
-  std::atomic<uint64_t> hits_{0};
+  /// Keyed on TraceSetConfig::Key(), the one definition of "same trace
+  /// set" (the runner's dedup goes through it too).
+  std::map<harness::TraceSetConfig::Identity, std::shared_ptr<Entry>> cache_;
   std::atomic<uint64_t> builds_{0};
 
   // Observability handles; all null when constructed without a registry.

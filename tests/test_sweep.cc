@@ -2,14 +2,18 @@
 // determinism (thread-count invariance, byte-identical serialized
 // output), equivalence with direct RunExperiment calls, the builtin
 // specs' pinned configs, and the figure views' table rendering.
+#include <array>
 #include <atomic>
+#include <cstring>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <sstream>
 #include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "scenario_util.h"
 #include "sweep/builtin_specs.h"
 #include "sweep/runner.h"
 #include "sweep/sinks.h"
@@ -108,7 +112,8 @@ TEST(SweepSpec, NoAxesExpandsToSingleBaseCell) {
 
 TEST(TraceSetCache, BuildsEachDistinctConfigOnceAndShares) {
   harness::WorkloadFactory factory;
-  sweep::TraceSetCache cache(&factory);
+  MetricsRegistry metrics;
+  sweep::TraceSetCache cache(&factory, &metrics);
 
   harness::TraceSetConfig a;
   a.workload = harness::WorkloadKind::kOltp;
@@ -123,8 +128,8 @@ TEST(TraceSetCache, BuildsEachDistinctConfigOnceAndShares) {
   const harness::TraceSet& ts3 = cache.Get(b);
   EXPECT_EQ(&ts1, &ts2) << "same config must share one TraceSet";
   EXPECT_NE(&ts1, &ts3);
-  EXPECT_EQ(cache.stats().builds, 2u);
-  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(cache.builds(), 2u);
+  EXPECT_EQ(metrics.Snapshot().CounterOr("trace_cache.hits"), 1u);
 
   // Hammer the cache from many threads; every result must alias the
   // already-built sets and no new builds may happen.
@@ -139,7 +144,173 @@ TEST(TraceSetCache, BuildsEachDistinctConfigOnceAndShares) {
   }
   for (std::thread& t : pool) t.join();
   EXPECT_EQ(mismatches.load(), 0);
-  EXPECT_EQ(cache.stats().builds, 2u);
+  EXPECT_EQ(cache.builds(), 2u);
+}
+
+// --- Trace-set identity: TraceSetConfig::Key() ---------------------------
+
+uint64_t ThetaBits(double theta) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &theta, sizeof(bits));
+  return bits;
+}
+
+// A file's bytes as native-endian 64-bit words.
+std::vector<uint64_t> FileWords(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  std::vector<uint64_t> words(bytes.size() / 8);
+  std::memcpy(words.data(), bytes.data(), words.size() * 8);
+  return words;
+}
+
+// Format v3 puts set 0's config block after magic, version, the 23 scale
+// words and the set count; its first index row follows the config block,
+// the set's two totals and its trace count.
+constexpr size_t kV3FirstConfigWord = 2 + 23 + 1;
+constexpr size_t kV3FirstIndexRowWord =
+    kV3FirstConfigWord + harness::TraceSetConfig::kKeyWords + 3;
+
+TEST(TraceSetIdentity, KeyWordOrderIsTheV3BundleConfigBlock) {
+  // Every field off its default.
+  harness::TraceSetConfig c;
+  c.workload = harness::WorkloadKind::kYcsb;
+  c.clients = 3;
+  c.requests_per_client = 5;
+  c.seed = 7;
+  c.engine = harness::EngineMode::kStagedTuple;
+  c.traffic.key_dist = workload::KeyDist::kHotRotate;
+  c.traffic.zipf_theta = 0.25;
+  c.traffic.hot_rotate_period = 9;
+  c.traffic.arrival = workload::ArrivalShape::kOnOffBurst;
+  c.traffic.burst_on = 11;
+  c.traffic.burst_off = 13;
+  c.traffic.think_instructions = 17;
+  c.tenant2_workload = harness::WorkloadKind::kDss;
+  c.tenant2_clients = 19;
+  // The v3 config block, word by word (enum words by their values, so a
+  // reordered enum fails here too). Bundles already on disk and shard
+  // fingerprints depend on this exact order.
+  const std::array<uint64_t, harness::TraceSetConfig::kKeyWords> v3 = {
+      2,  // workload: kYcsb
+      3,  // clients
+      5,  // requests_per_client
+      7,  // seed
+      2,  // engine: kStagedTuple
+      2,  // traffic.key_dist: kHotRotate
+      ThetaBits(0.25),
+      9,   // traffic.hot_rotate_period
+      1,   // traffic.arrival: kOnOffBurst
+      11,  // traffic.burst_on
+      13,  // traffic.burst_off
+      17,  // traffic.think_instructions
+      1,   // tenant2_workload: kDss
+      19,  // tenant2_clients
+  };
+  EXPECT_EQ(c.Key(), v3);
+
+  // The bundle writes exactly these words as the set's config block (a
+  // set with no traces is enough: nothing is built).
+  harness::WorkloadFactory factory;
+  harness::TraceSet set;
+  set.config = c;
+  const std::string path = ::testing::TempDir() + "bundle_key_order.traces";
+  ASSERT_TRUE(sweep::SaveTraceBundle(path, factory, {&set}));
+  const std::vector<uint64_t> words = FileWords(path);
+  ASSERT_GE(words.size(), kV3FirstConfigWord + v3.size());
+  EXPECT_EQ(words[kV3FirstConfigWord - 1], 1u);  // set count
+  for (size_t i = 0; i < v3.size(); ++i) {
+    EXPECT_EQ(words[kV3FirstConfigWord + i], v3[i]) << "config word " << i;
+  }
+  EXPECT_EQ(sweep::OpenTraceBundle(path, factory, {c}).mode, "mmap");
+  std::remove(path.c_str());
+}
+
+// Each TraceSetConfig field perturbed alone, in Key() word order.
+struct FieldPerturbation {
+  const char* field;
+  std::function<void(harness::TraceSetConfig*)> apply;
+};
+
+std::vector<FieldPerturbation> EveryFieldPerturbed() {
+  using harness::TraceSetConfig;
+  return {
+      {"workload",
+       [](TraceSetConfig* c) { c->workload = harness::WorkloadKind::kYcsb; }},
+      {"clients", [](TraceSetConfig* c) { c->clients += 1; }},
+      {"requests_per_client",
+       [](TraceSetConfig* c) { c->requests_per_client += 1; }},
+      {"seed", [](TraceSetConfig* c) { c->seed += 1; }},
+      {"engine",
+       [](TraceSetConfig* c) {
+         c->engine = harness::EngineMode::kStagedCohort;
+       }},
+      {"traffic.key_dist",
+       [](TraceSetConfig* c) {
+         c->traffic.key_dist = workload::KeyDist::kZipfian;
+       }},
+      {"traffic.zipf_theta",
+       [](TraceSetConfig* c) { c->traffic.zipf_theta = 0.5; }},
+      {"traffic.hot_rotate_period",
+       [](TraceSetConfig* c) { c->traffic.hot_rotate_period += 1; }},
+      {"traffic.arrival",
+       [](TraceSetConfig* c) {
+         c->traffic.arrival = workload::ArrivalShape::kThinkTime;
+       }},
+      {"traffic.burst_on",
+       [](TraceSetConfig* c) { c->traffic.burst_on += 1; }},
+      {"traffic.burst_off",
+       [](TraceSetConfig* c) { c->traffic.burst_off += 1; }},
+      {"traffic.think_instructions",
+       [](TraceSetConfig* c) { c->traffic.think_instructions += 1; }},
+      {"tenant2_workload",
+       [](TraceSetConfig* c) {
+         c->tenant2_workload = harness::WorkloadKind::kDss;
+       }},
+      {"tenant2_clients", [](TraceSetConfig* c) { c->tenant2_clients = 1; }},
+  };
+}
+
+TEST(TraceSetIdentity, EveryFieldAloneIsADistinctTraceSet) {
+  harness::WorkloadFactory factory;
+  scenario::ApplyTinyScale(&factory);
+  harness::TraceSetConfig base;
+  base.workload = harness::WorkloadKind::kOltp;
+  base.clients = 1;
+  base.requests_per_client = 1;
+  base.seed = 31;
+
+  // A bundle recorded for the base config (no traces needed: only the
+  // header is compared on open).
+  harness::TraceSet recorded;
+  recorded.config = base;
+  const std::string path = ::testing::TempDir() + "bundle_identity.traces";
+  ASSERT_TRUE(sweep::SaveTraceBundle(path, factory, {&recorded}));
+  ASSERT_EQ(sweep::OpenTraceBundle(path, factory, {base}).mode, "mmap");
+
+  sweep::TraceSetCache cache(&factory);
+  const harness::TraceSet* base_set = &cache.Get(base);
+  const std::vector<FieldPerturbation> fields = EveryFieldPerturbed();
+  ASSERT_EQ(fields.size(), harness::TraceSetConfig::kKeyWords);
+  for (size_t i = 0; i < fields.size(); ++i) {
+    SCOPED_TRACE(fields[i].field);
+    harness::TraceSetConfig changed = base;
+    fields[i].apply(&changed);
+    // The field's own key word, and only it, tells the two apart.
+    const auto a = base.Key();
+    const auto b = changed.Key();
+    for (size_t w = 0; w < a.size(); ++w) {
+      EXPECT_EQ(a[w] != b[w], w == i) << "key word " << w;
+    }
+    // The cache builds it as a set of its own...
+    const harness::TraceSet& set = cache.Get(changed);
+    EXPECT_NE(&set, base_set);
+    EXPECT_EQ(cache.builds(), i + 2);
+    // ...and the base config's bundle is not served for it.
+    EXPECT_EQ(sweep::OpenTraceBundle(path, factory, {changed}).mode, "cold");
+  }
+  std::remove(path.c_str());
 }
 
 TEST(TraceSet, PointersAddressEveryTraceInClientOrder) {
@@ -288,16 +459,17 @@ TEST(TraceSetCache, BuildsOnceThenHitsAndAFreshCacheRebuilds) {
   cfg.requests_per_client = 2;
   cfg.seed = 11;
 
-  sweep::TraceSetCache cache(&factory);
+  MetricsRegistry metrics;
+  sweep::TraceSetCache cache(&factory, &metrics);
   const harness::TraceSet& first = cache.Get(cfg);
   EXPECT_FALSE(first.traces.empty());
   EXPECT_EQ(&cache.Get(cfg), &first);
-  EXPECT_EQ(cache.stats().builds, 1u);
-  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(cache.builds(), 1u);
+  EXPECT_EQ(metrics.Snapshot().CounterOr("trace_cache.hits"), 1u);
 
   sweep::TraceSetCache fresh(&factory);
   const harness::TraceSet& rebuilt = fresh.Get(cfg);
-  EXPECT_EQ(fresh.stats().builds, 1u);
+  EXPECT_EQ(fresh.builds(), 1u);
   EXPECT_EQ(rebuilt.total_events, first.total_events);
 }
 
@@ -362,18 +534,16 @@ TEST(TraceBundle, SaveThenOpenRoundTripsEveryEvent) {
     trunc.close();
     EXPECT_EQ(open_mode(factory, cfg), "cold");
 
-    // Restore, then blow up trace 0's in-band event count (v3 header:
-    // 2 magic/version + 22 scale + 1 n_sets + 14 config + 2 totals +
-    // 1 n_traces = word 42 starts the index rows; n_events is row word
-    // 2). Stomping it with 2^62 must hit the header checksum or a
-    // length bound, not vector::resize.
+    // Restore, then blow up trace 0's in-band event count (n_events is
+    // index row word 2). Stomping it with 2^62 must hit the header
+    // checksum or a length bound, not vector::resize.
     std::ofstream rewrite(path, std::ios::binary | std::ios::trunc);
     rewrite.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
     rewrite.close();
     std::fstream stomp(path,
                        std::ios::binary | std::ios::in | std::ios::out);
     const uint64_t huge = 1ull << 62;
-    stomp.seekp(44 * 8);
+    stomp.seekp((kV3FirstIndexRowWord + 2) * 8);
     stomp.write(reinterpret_cast<const char*>(&huge), 8);
     stomp.close();
     EXPECT_EQ(open_mode(factory, cfg), "cold");
@@ -493,13 +663,15 @@ TEST(TraceBundle, FlippedPayloadWordCaughtOnlyByVerify) {
   BundleFixture fx("bundle_flip.traces");
   // Flip one bit in trace 0's first payload word. The payload region
   // starts at the 64-byte-aligned end of the header; rather than
-  // recompute it, read the recorded offset from index row 0 (header
-  // word 42 starts the rows; offset_bytes is row word 3).
+  // recompute it, read the recorded offset from index row 0
+  // (offset_bytes is row word 3).
   uint64_t offset = 0;
   {
     std::fstream f(fx.path, std::ios::binary | std::ios::in | std::ios::out);
-    f.seekg((42 + 3) * 8);
+    f.seekg((kV3FirstIndexRowWord + 3) * 8);
     f.read(reinterpret_cast<char*>(&offset), 8);
+    ASSERT_EQ(offset % 64, 0u) << "not a payload offset";
+    ASSERT_GT(offset, kV3FirstIndexRowWord * 8) << "not a payload offset";
     uint64_t w = 0;
     f.seekg(static_cast<std::streamoff>(offset));
     f.read(reinterpret_cast<char*>(&w), 8);
@@ -585,15 +757,17 @@ TEST(TraceBundle, LazyMismatchRebuildsColdAndReportsPartial) {
   const sweep::SweepReport cold = run(&f1);
   ASSERT_EQ(cold.bundle, "cold");
 
-  // Corrupt set 0's first payload word (offset read from index row 0 —
-  // header word 42 starts the rows, offset_bytes is row word 3). The
+  // Corrupt set 0's first payload word (offset read from index row 0,
+  // whose offset_bytes is row word 3). The
   // mmap open still succeeds; only the lazy per-set verification on the
   // build pool notices, rebuilds that set cold, and flags the run.
   {
     std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
     uint64_t offset = 0;
-    f.seekg((42 + 3) * 8);
+    f.seekg((kV3FirstIndexRowWord + 3) * 8);
     f.read(reinterpret_cast<char*>(&offset), 8);
+    ASSERT_EQ(offset % 64, 0u) << "not a payload offset";
+    ASSERT_GT(offset, kV3FirstIndexRowWord * 8) << "not a payload offset";
     uint64_t w = 0;
     f.seekg(static_cast<std::streamoff>(offset));
     f.read(reinterpret_cast<char*>(&w), 8);

@@ -139,13 +139,13 @@ TEST(WorldIsolation, CacheBuildsDistinctConfigsConcurrently) {
 
   ASSERT_NE(got_oltp, nullptr);
   ASSERT_NE(got_dss, nullptr);
-  EXPECT_EQ(cache.stats().builds, 2u);
+  EXPECT_EQ(cache.builds(), 2u);
   EXPECT_EQ(EventSkeleton(*got_oltp), EventSkeleton(ref_oltp));
   EXPECT_EQ(EventSkeleton(*got_dss), EventSkeleton(ref_dss));
   // Repeat lookups alias the built instances.
   EXPECT_EQ(&cache.Get(OltpConfig()), got_oltp);
   EXPECT_EQ(&cache.Get(DssConfig()), got_dss);
-  EXPECT_EQ(cache.stats().builds, 2u);
+  EXPECT_EQ(cache.builds(), 2u);
 }
 
 }  // namespace
